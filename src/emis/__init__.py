@@ -16,12 +16,13 @@ from .data import (Corpus, FeatureBank, SynthInfo, SynthSpec, TripletRecord,
 from .errors import (BadMagic, BadSplit, CheckFailure, ConfigError, DataError,
                      DuplicateId, EmisError, EmptyInput, EmptySplit,
                      LengthMismatch, MissingCell, MissingSubset, NearZeroNorm,
-                     NonFiniteGradient, ShapeMismatch, SpecInvalid,
-                     TruncatedFile, UnknownId)
-from .evaluation import (MetricReport, QuerySpec, RankResult, aggregate_suite,
-                         evaluate, median_rank, queries_from_triplets,
-                         rank_targets, recall_at_k, recall_subset_at_k,
-                         round_half_up, score_matrix)
+                     NonFiniteData, NonFiniteGradient, ShapeMismatch,
+                     SpecInvalid, TruncatedFile, UnknownId)
+from .evaluation import (MetricReport, QuerySpec, Rankings, RankResult,
+                         aggregate_suite, evaluate, median_rank,
+                         queries_from_triplets, rank_queries, rank_targets,
+                         recall_at_k, recall_subset_at_k, round_half_up,
+                         score_matrix)
 from .harness import (BenchConfig, BenchReport, RunConfig, ablation_table,
                       bench_latency, gradient_check_suite, run_ablation,
                       write_synthetic)
@@ -43,8 +44,9 @@ __all__ = [
     "CheckFailure", "ConfigError", "Corpus", "DataError", "DuplicateId",
     "EmisError", "EmptyInput", "EmptySplit", "EpochLog", "FeatureBank",
     "Flavor", "HeadDims", "HeadParams", "LengthMismatch", "MetricReport",
-    "MissingCell", "MissingSubset", "NearZeroNorm", "NonFiniteGradient",
-    "QuerySpec", "RankResult", "RunConfig", "ShapeMismatch", "SpecInvalid",
+    "MissingCell", "MissingSubset", "NearZeroNorm", "NonFiniteData",
+    "NonFiniteGradient", "QuerySpec", "RankResult", "Rankings", "RunConfig",
+    "ShapeMismatch", "SpecInvalid",
     "SynthInfo", "SynthSpec", "TrainConfig", "TrainResult", "TripletRecord",
     "TripletSet", "TruncatedFile", "UnknownId", "ablation_table",
     "adamw_step", "aggregate_suite", "attention", "bbc_loss",
@@ -52,7 +54,7 @@ __all__ = [
     "generate_synthetic", "gradient_check_suite", "head_mac_count",
     "head_param_count", "init_params", "l2_normalize", "load_checkpoint",
     "load_triplets", "lr_at_epoch", "median_rank", "mlp2", "pairwise_scores",
-    "queries_from_triplets", "rank_targets", "read_epoch_logs",
+    "queries_from_triplets", "rank_queries", "rank_targets", "read_epoch_logs",
     "read_feature_bank", "recall_at_k", "recall_subset_at_k",
     "round_half_up", "run_ablation", "save_checkpoint", "score", "score_em",
     "score_is", "score_matrix", "select_checkpoint", "softmax", "train",

@@ -79,6 +79,10 @@ class MissingCell(DataError):
     """An aggregate convention needs a metric cell that is absent."""
 
 
+class NonFiniteData(DataError):
+    """A file holds NaN or infinite values where finite ones are required."""
+
+
 # -- checks ------------------------------------------------------------------
 
 class CheckFailure(EmisError):

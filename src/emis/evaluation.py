@@ -2,11 +2,16 @@
 
 Candidates are ordered by descending score with ascending-id
 tie-breaks, so results are deterministic. The streaming evaluator
-computes ranks by exact counting (strictly-greater plus tied-with-
-lower-id), which is equivalent to the sort-based ``rank_targets`` and
-cheap enough to run after every training epoch. Reports round to two
-decimals (half-up) only at emission; internal math keeps full
-precision.
+prepares the gallery once per call and scores the queries block by
+block against it. It computes ranks by exact counting (strictly-greater
+plus tied-with-lower-id), which is equivalent to the sort-based
+``rank_targets`` and cheap enough to run after every training epoch.
+The top-k dump uses exact partial selection: a partition finds the
+k-th best kept score, and only the candidates at or above it (every
+tie at the boundary included) are sorted, with the same tie-break. A
+NaN score is an error, never a rank; +-inf scores rank like any other
+value. Reports round to two decimals (half-up) only at emission;
+internal math keeps full precision.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import head
 from .errors import (ConfigError, EmptyInput, MissingCell, MissingSubset,
-                     ShapeMismatch, UnknownId)
+                     NonFiniteGradient, ShapeMismatch, UnknownId)
 from .head import Flavor, HeadParams, pairwise_scores
 
 Array = np.ndarray
@@ -101,8 +107,8 @@ def score_matrix(queries: Sequence[QuerySpec], corpus, params: HeadParams,
         raise EmptyInput("no queries")
     r_rows = corpus.refs.rows64([q.ref_id for q in queries])
     m_rows = corpus.mods.rows64([q.mod_id for q in queries])
-    gallery = corpus.targets.matrix64()
-    out = np.empty((len(queries), gallery.shape[0]), dtype=np.float64)
+    gallery = head.prepare_gallery(corpus.targets.matrix64(), params.dims, flavor)
+    out = np.empty((len(queries), gallery.tn.shape[0]), dtype=np.float64)
 
     def fill(lo: int, hi: int) -> None:
         out[lo:hi] = pairwise_scores(r_rows[lo:hi], m_rows[lo:hi], gallery, params, flavor)
@@ -248,40 +254,88 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: Flavor,
-             recall_ks: Sequence[int] = (1, 5, 10, 50),
-             subset_ks: Sequence[int] = (1, 2, 3),
-             block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1,
-             dump_path=None, dump_top_k: int = 10) -> MetricReport:
-    """Streamed evaluation: block scoring, counting ranks, metrics.
+@dataclass
+class Rankings:
+    """Per-query output of the streaming ranker, in query order."""
 
-    Subset recalls are included when every query carries a subset.
-    ``dump_path`` writes one JSONL line per query with its top-k ids
-    and scores (exact sort order).
+    ranks: Array                 # best ground-truth rank in the kept gallery
+    subset_ranks: Array | None   # rank within the query's subset, when all have one
+    dump_lines: list[str]        # one JSON line per query when a dump was asked for
+
+
+def _top_k(row: Array, k: int, excluded: int | None, id_rank: Array,
+           scratch: Array) -> Array:
+    """Columns of the k best kept candidates of one row, in rank_targets' order.
+
+    The row is copied into ``scratch`` with the excluded column at -inf
+    and partitioned there to find the k-th largest score, a lower bound
+    on the k best kept ones (it is the -inf sentinel only when k reaches
+    past the kept columns). Every kept column scoring at least that
+    value (ties at the boundary included) is then sorted by (-score,
+    id rank), and the first k are returned, so the result equals the
+    head of a full sort.
+    """
+    k = min(k, row.shape[0])
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    np.copyto(scratch, row)
+    if excluded is not None:
+        scratch[excluded] = -np.inf
+    pivot = row.shape[0] - k
+    scratch.partition(pivot)
+    cols = np.flatnonzero(row >= scratch[pivot])
+    if excluded is not None:
+        cols = cols[cols != excluded]
+    return cols[np.lexsort((id_rank[cols], -row[cols]))][:k]
+
+
+def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: Flavor,
+                 block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1,
+                 dump_top_k: int | None = None) -> Rankings:
+    """Streamed ranking: one prepared gallery, block scoring, counting ranks.
+
+    Subset ranks are computed when every query carries a subset. With
+    ``dump_top_k`` set, each query also gets a JSON line with its rank
+    and its top-k ids and scores (exact sort order). A NaN score raises
+    NonFiniteGradient naming the query.
     """
     if not queries:
         raise EmptyInput("no queries")
+    if dump_top_k is not None and dump_top_k < 0:
+        raise ConfigError(f"top-k must be >= 0, got {dump_top_k}")
     gallery_ids = corpus.targets.ids
+    n_gallery = len(gallery_ids)
     index = {gid: i for i, gid in enumerate(gallery_ids)}
     id_rank = _id_rank_of(gallery_ids)
-    gallery = corpus.targets.matrix64()
-    r_rows = corpus.refs.rows64([q.ref_id for q in queries])
-    m_rows = corpus.mods.rows64([q.mod_id for q in queries])
+    gallery = head.prepare_gallery(corpus.targets.matrix64(), params.dims, flavor)
+    # Query rows are gathered per block; copying every query's rows up
+    # front would add two queries x dims arrays to peak memory.
+    refs, mods = corpus.refs.matrix64(), corpus.mods.matrix64()
+    ref_rows = np.array([corpus.refs.row_of(q.ref_id) for q in queries], dtype=np.int64)
+    mod_rows = np.array([corpus.mods.row_of(q.mod_id) for q in queries], dtype=np.int64)
 
     with_subsets = all(q.subset_members is not None for q in queries)
 
     def eval_block(lo: int, hi: int):
-        block = pairwise_scores(r_rows[lo:hi], m_rows[lo:hi], gallery, params, flavor)
+        block = pairwise_scores(refs[ref_rows[lo:hi]], mods[mod_rows[lo:hi]], gallery,
+                                params, flavor)
+        nan_rows = np.flatnonzero(np.isnan(block.max(axis=1)))
+        if nan_rows.size:
+            bad = lo + int(nan_rows[0])
+            raise NonFiniteGradient(f"query {bad} ({queries[bad].ref_id}, "
+                                    f"{queries[bad].mod_id}) has a NaN score")
         chunk = queries[lo:hi]
+        excluded = [index[q.ref_id] if q.exclude_ref and q.ref_id in index else None
+                    for q in chunk]
         keep = None
-        if any(q.exclude_ref for q in chunk):
-            keep = np.ones((hi - lo, len(gallery_ids)), dtype=bool)
-            for i, q in enumerate(chunk):
-                if q.exclude_ref and q.ref_id in index:
-                    keep[i, index[q.ref_id]] = False
+        if any(col is not None for col in excluded):
+            keep = np.ones((hi - lo, n_gallery), dtype=bool)
+            for i, col in enumerate(excluded):
+                if col is not None:
+                    keep[i, col] = False
         gt_cols = []
-        for q in chunk:
-            cols = [index[g] for g in q.ground_truth if g in index]
+        for q, skip in zip(chunk, excluded):
+            cols = [index[g] for g in q.ground_truth if g in index and index[g] != skip]
             if not cols:
                 raise UnknownId(f"no ground truth of ({q.ref_id}, {q.mod_id}) in gallery")
             gt_cols.append(cols)
@@ -290,13 +344,13 @@ def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: F
         if with_subsets:
             block_subset = np.empty(hi - lo, dtype=np.int64)
             for i, q in enumerate(chunk):
-                mask = np.zeros(len(gallery_ids), dtype=bool)
+                mask = np.zeros(n_gallery, dtype=bool)
                 for member in q.subset_members:
                     if member not in index:
                         raise UnknownId(f"subset member {member!r} not in gallery")
                     mask[index[member]] = True
-                if q.exclude_ref and q.ref_id in index:
-                    mask[index[q.ref_id]] = False
+                if excluded[i] is not None:
+                    mask[excluded[i]] = False
                 cols = [c for c in gt_cols[i] if mask[c]]
                 if not cols:
                     raise MissingSubset(f"query ({q.ref_id}, {q.mod_id}): ground truth "
@@ -304,25 +358,41 @@ def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: F
                 block_subset[i] = _counting_ranks(block[i:i + 1], [cols],
                                                   id_rank, mask[None, :])[0]
         block_dump: list[str] = []
-        if dump_path is not None:
+        if dump_top_k is not None:
+            scratch = np.empty(n_gallery, dtype=np.float64)
             for i, q in enumerate(chunk):
                 row = block[i]
-                cols = np.arange(len(gallery_ids))
-                if keep is not None:
-                    cols = cols[keep[i]]
-                order = cols[np.lexsort((id_rank[cols], -row[cols]))][:dump_top_k]
+                top = _top_k(row, dump_top_k, excluded[i], id_rank, scratch)
                 block_dump.append(json.dumps({
                     "query": lo + i, "ref": q.ref_id, "mod": q.mod_id,
                     "rank": int(block_ranks[i]),
-                    "top": [{"id": gallery_ids[c], "score": float(row[c])} for c in order],
+                    "top": [{"id": gallery_ids[c], "score": float(row[c])} for c in top],
                 }, sort_keys=True))
         return block_ranks, block_subset, block_dump
 
-    spans = _blocks(len(queries), block_size)
-    pieces = _map_blocks(eval_block, spans, workers)
-    ranks = np.concatenate([p[0] for p in pieces])
-    subset_ranks = np.concatenate([p[1] for p in pieces]) if with_subsets else None
-    dump_lines = [line for p in pieces for line in p[2]]
+    pieces = _map_blocks(eval_block, _blocks(len(queries), block_size), workers)
+    return Rankings(
+        ranks=np.concatenate([p[0] for p in pieces]),
+        subset_ranks=np.concatenate([p[1] for p in pieces]) if with_subsets else None,
+        dump_lines=[line for p in pieces for line in p[2]],
+    )
+
+
+def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: Flavor,
+             recall_ks: Sequence[int] = (1, 5, 10, 50),
+             subset_ks: Sequence[int] = (1, 2, 3),
+             block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1,
+             dump_path=None, dump_top_k: int = 10) -> MetricReport:
+    """Streamed evaluation: ``rank_queries``, then metrics.
+
+    Subset recalls are included when every query carries a subset.
+    ``dump_path`` writes one JSONL line per query with its top-k ids
+    and scores (exact sort order).
+    """
+    ranked = rank_queries(queries, corpus, params, flavor, block_size, workers,
+                          dump_top_k if dump_path is not None else None)
+    ranks, subset_ranks = ranked.ranks, ranked.subset_ranks
+    with_subsets = subset_ranks is not None
 
     metrics: dict[str, float] = {}
     for k in recall_ks:
@@ -338,8 +408,9 @@ def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: F
         metrics["combined"] = (metrics["r_at_5"] + metrics["r_subset_at_1"]) / 2.0
 
     if dump_path is not None:
+        lines = ranked.dump_lines
         with open(dump_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(dump_lines) + ("\n" if dump_lines else ""))
+            fh.write("\n".join(lines) + ("\n" if lines else ""))
     return MetricReport(label=flavor.value, metrics=metrics, n_queries=len(queries))
 
 

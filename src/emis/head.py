@@ -26,7 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var, value_of
-from .errors import BadMagic, ConfigError, NearZeroNorm, ShapeMismatch, TruncatedFile
+from .errors import (BadMagic, ConfigError, NearZeroNorm, NonFiniteData, ShapeMismatch,
+                     TruncatedFile)
 from .numerics import NORM_EPS, as_vec64, mlp2, softmax, weighted_cosine
 
 Array = np.ndarray
@@ -379,17 +380,25 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
     return gated(queries.y_em, queries.sq_em) + gated(queries.x_is, queries.sq_is)
 
 
-def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array,
+def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,
                     params: HeadParams, flavor: Flavor):
     """Scores for every (query, candidate) pair: queries x candidates.
 
     Query-side quantities (attention vectors, projection, query norms)
     are computed once per query and reused across all candidates.
     Inputs are plain float64 arrays; parameters may be tape Vars, in
-    which case the result participates in backprop.
+    which case the result participates in backprop. ``t_rows`` is
+    either the candidate rows or a ``GalleryState`` from
+    ``prepare_gallery``, so a caller that scores many query blocks
+    against one gallery prepares it once.
     """
     state = encode_queries(r_rows, m_rows, params, flavor)
-    gallery = prepare_gallery(t_rows, params.dims, flavor)
+    if isinstance(t_rows, GalleryState):
+        gallery = t_rows
+    else:
+        gallery = prepare_gallery(t_rows, params.dims, flavor)
+    if gallery.tn.shape[1] != params.dims.h_i:
+        raise ShapeMismatch(f"candidate width {gallery.tn.shape[1]} vs h_i {params.dims.h_i}")
     return scores_from_state(state, gallery)
 
 
@@ -506,6 +515,8 @@ def load_checkpoint(path) -> HeadParams:
         if end > len(raw):
             raise TruncatedFile(f"{path}: block {name} payload is truncated")
         values = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64)
+        if not np.isfinite(values).all():
+            raise NonFiniteData(f"{path}: block {name} holds non-finite values")
         blocks[name] = np.float64(values[0]) if shape == () else values.reshape(shape)
         offset = end
     if offset != len(raw):

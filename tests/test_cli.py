@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from emis.cli import main
-from emis.head import Flavor
+from emis.head import Flavor, HeadDims, init_params, save_checkpoint
 
 SYNTH_FLAGS = ["--seed", "1", "--n-train", "48", "--n-eval", "5",
                "--n-val", "3", "--gallery-size", "250"]
@@ -227,6 +227,19 @@ def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--config", cfg,
                            "--checkpoint", str(fake))
     assert code == 3
+
+
+def test_nan_checkpoint_exits_3_naming_the_block(dataset, tmp_path, capsys):
+    cfg = config_file(tmp_path / "run.cfg", dataset)
+    params = init_params(HeadDims(64, 64, 64), seed=0)
+    params.attn_em.b2[5] = float("nan")
+    ckpt = tmp_path / "nan.ahp"
+    save_checkpoint(params, ckpt)
+    code, out, err = run_cli(capsys, "eval", "--config", cfg,
+                             "--checkpoint", str(ckpt))
+    assert code == 3
+    assert "attn_em.b2" in err
+    assert "r_at_1" not in out
 
 
 def test_inspect_bank_outputs(dataset, capsys):

@@ -1,16 +1,20 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emis import evaluation
 from emis.data import Corpus, FeatureBank
 from emis.errors import (
     ConfigError,
+    DataError,
     EmptyInput,
     MissingCell,
     MissingSubset,
+    NonFiniteGradient,
     ShapeMismatch,
     UnknownId,
 )
@@ -18,10 +22,12 @@ from emis.evaluation import (
     FASHIONIQ_CATEGORIES,
     MetricReport,
     QuerySpec,
+    RankResult,
     aggregate_suite,
     evaluate,
     median_rank,
     queries_from_triplets,
+    rank_queries,
     rank_targets,
     recall_at_k,
     recall_subset_at_k,
@@ -287,6 +293,132 @@ def test_evaluate_empty_queries():
         evaluate([], corpus, params, Flavor.IMAGE_ONLY)
     with pytest.raises(EmptyInput):
         score_matrix([], corpus, params, Flavor.IMAGE_ONLY)
+
+
+# -- the streaming ranker against the sort oracle -----------------------------------------
+
+def fixed_scores(scores: np.ndarray, ref_ids: list[str], gallery_ids: list[str]):
+    """A corpus plus a stand-in for pairwise_scores that returns ``scores``.
+
+    Reference row i is (1, i), so the stand-in reads each block's query
+    indices back from the normalized rows it is given.
+    """
+    n_queries, n_gallery = scores.shape
+    rng = np.random.default_rng(0)
+    corpus = Corpus(
+        refs=FeatureBank(ids=ref_ids, data=np.array([[1.0, i] for i in range(n_queries)],
+                                                     dtype=np.float32)),
+        mods=FeatureBank(ids=[f"m{i}" for i in range(n_queries)],
+                         data=unit_rows(rng, n_queries, 2).astype(np.float32)),
+        targets=FeatureBank(ids=gallery_ids,
+                            data=unit_rows(rng, n_gallery, 2).astype(np.float32)),
+    )
+
+    def stand_in(r_rows, m_rows, gallery, params, flavor):
+        return scores[np.rint(r_rows[:, 1] / r_rows[:, 0]).astype(int)]
+
+    return corpus, mock.patch.object(evaluation, "pairwise_scores", stand_in)
+
+
+def oracle_rank(row, query: QuerySpec, gallery_ids: list[str], members=None) -> RankResult:
+    """rank_targets over the whole gallery, or over ``members`` only."""
+    if members is None:
+        return rank_targets(row, query, gallery_ids)
+    cols = [i for i, g in enumerate(gallery_ids) if g in set(members)]
+    return rank_targets(row[cols], query, [gallery_ids[c] for c in cols])
+
+
+SCORE_VALUES = (-np.inf, -1.0, 0.0, 0.25, 0.25 + 2 ** -50, 1.0, np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_streaming_ranker_matches_sort_oracle(data):
+    n_gallery = data.draw(st.integers(1, 9), label="gallery")
+    n_queries = data.draw(st.integers(1, 7), label="queries")
+    # ids in shuffled order, so the id tie-break differs from column order
+    gallery_ids = data.draw(st.permutations([f"g{j}" for j in range(n_gallery)]))
+    # heavy ties (few distinct values), +-inf, and k-th-boundary ties follow
+    scores = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from(SCORE_VALUES), min_size=n_gallery, max_size=n_gallery),
+        min_size=n_queries, max_size=n_queries), label="scores"), dtype=np.float64)
+    exclude_ref = data.draw(st.booleans(), label="exclude_ref")
+    with_subsets = data.draw(st.booleans(), label="with_subsets")
+    ref_ids, queries = [], []
+    for i in range(n_queries):
+        # some references are gallery items, so exclude_ref removes a column
+        in_gallery = data.draw(st.booleans())
+        ref = gallery_ids[data.draw(st.integers(0, n_gallery - 1))] if in_gallery else f"x{i}"
+        ref = ref if ref not in ref_ids else f"x{i}"
+        truth = tuple(sorted(data.draw(st.sets(st.sampled_from(gallery_ids), min_size=1,
+                                               max_size=2))))
+        members = None
+        if with_subsets:
+            members = tuple(sorted(data.draw(st.sets(st.sampled_from(gallery_ids), max_size=4))
+                                   | {truth[0]}))
+        ref_ids.append(ref)
+        queries.append(QuerySpec(ref_id=ref, mod_id=f"m{i}", ground_truth=truth,
+                                 subset_members=members, exclude_ref=exclude_ref))
+    top_k = data.draw(st.integers(0, n_gallery + 2), label="top_k")
+    block_size = data.draw(st.sampled_from([1, 3, n_queries + 5]), label="block_size")
+    workers = data.draw(st.sampled_from([1, 2]), label="workers")
+
+    corpus, patched = fixed_scores(scores, ref_ids, gallery_ids)
+    params = init_params(HeadDims(2, 2, 2), seed=0)
+    try:
+        expected = [oracle_rank(scores[i], q, gallery_ids) for i, q in enumerate(queries)]
+        expected_subset = ([oracle_rank(scores[i], q, gallery_ids, q.subset_members).rank
+                            for i, q in enumerate(queries)] if with_subsets else None)
+    except UnknownId:
+        # every ground truth of some query is its excluded reference
+        with patched, pytest.raises(DataError):
+            rank_queries(queries, corpus, params, Flavor.IMAGE_ONLY, block_size, workers,
+                         dump_top_k=top_k)
+        return
+    with patched:
+        got = rank_queries(queries, corpus, params, Flavor.IMAGE_ONLY, block_size, workers,
+                           dump_top_k=top_k)
+
+    assert got.ranks.tolist() == [e.rank for e in expected]
+    if with_subsets:
+        assert got.subset_ranks.tolist() == expected_subset
+    else:
+        assert got.subset_ranks is None
+    index = {g: j for j, g in enumerate(gallery_ids)}
+    assert len(got.dump_lines) == n_queries
+    for i, (line, e) in enumerate(zip(got.dump_lines, expected)):
+        top = e.ordering[:top_k]
+        assert line == json.dumps({
+            "query": i, "ref": queries[i].ref_id, "mod": queries[i].mod_id, "rank": e.rank,
+            "top": [{"id": g, "score": float(scores[i, index[g]])} for g in top],
+        }, sort_keys=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nan_score_raises_naming_the_query(workers):
+    scores = np.array([[0.1, 0.2, 0.3]] * 5)
+    scores[3, 1] = np.nan
+    scores[4, 0] = np.inf     # +-inf stay legal
+    scores[4, 2] = -np.inf
+    ids = ["a", "b", "c"]
+    corpus, patched = fixed_scores(scores, [f"r{i}" for i in range(5)], ids)
+    params = init_params(HeadDims(2, 2, 2), seed=0)
+    queries = [QuerySpec(ref_id=f"r{i}", mod_id=f"m{i}", ground_truth=("b",))
+               for i in range(5)]
+    with patched, pytest.raises(NonFiniteGradient, match=r"query 3 \(r3, m3\)"):
+        evaluate(queries, corpus, params, Flavor.IMAGE_ONLY, block_size=2, workers=workers)
+    with patched:
+        ranks = rank_queries(queries[4:], corpus, params, Flavor.IMAGE_ONLY).ranks
+    assert ranks.tolist() == [2]
+
+
+def test_negative_top_k_is_a_config_error(tmp_path):
+    corpus = make_corpus(2, 5, 4, seed=8)
+    params = init_params(HeadDims(4, 4, 4), seed=0)
+    queries = simple_queries(corpus, np.random.default_rng(0))
+    with pytest.raises(ConfigError):
+        evaluate(queries, corpus, params, Flavor.IMAGE_ONLY,
+                 dump_path=tmp_path / "d.jsonl", dump_top_k=-1)
 
 
 def test_queries_from_triplets_attaches_subsets(default_synth):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from emis.autodiff import Tape
-from emis.errors import BadMagic, ConfigError, NearZeroNorm, ShapeMismatch, TruncatedFile
+from emis.errors import (BadMagic, ConfigError, NearZeroNorm, NonFiniteData, ShapeMismatch,
+                         TruncatedFile)
 from emis.head import (
     BLOCK_NAMES,
     Flavor,
@@ -182,6 +183,22 @@ def test_phase_split_equals_fused_call():
     assert np.array_equal(part, fused[1:3])
 
 
+@pytest.mark.parametrize("flavor", [Flavor.LATE_FUSION, Flavor.ARTEMIS])
+def test_pairwise_accepts_prepared_gallery(flavor):
+    dims = HeadDims(8, 8, 8)
+    params = init_params(dims, seed=7)
+    r_rows, m_rows, t_rows = _toy_batch(dims, 4, 9, seed=7)
+    gallery = prepare_gallery(t_rows, dims, flavor)
+    assert np.array_equal(pairwise_scores(r_rows, m_rows, gallery, params, flavor),
+                          pairwise_scores(r_rows, m_rows, t_rows, params, flavor))
+    with pytest.raises(ShapeMismatch):   # prepared without the squares artemis needs
+        pairwise_scores(r_rows, m_rows, prepare_gallery(t_rows, dims, Flavor.LATE_FUSION),
+                        params, Flavor.ARTEMIS)
+    narrow = prepare_gallery(t_rows[:, :5], HeadDims(8, 5, 8), flavor)
+    with pytest.raises(ShapeMismatch):
+        pairwise_scores(r_rows, m_rows, narrow, params, flavor)
+
+
 def test_pairwise_accepts_tape_vars():
     dims = HeadDims(8, 8, 8)
     params = init_params(dims, seed=6)
@@ -327,6 +344,16 @@ def test_checkpoint_truncation_and_trailing(tmp_path):
     longer.write_bytes(raw + b"\x00")
     with pytest.raises(TruncatedFile):
         load_checkpoint(longer)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_block_is_rejected(tmp_path, bad):
+    params = init_params(HeadDims(3, 4, 5), seed=1)
+    params.attn_em.b2[2] = bad
+    path = tmp_path / "head.ahp"
+    save_checkpoint(params, path)
+    with pytest.raises(NonFiniteData, match="attn_em.b2"):
+        load_checkpoint(path)
 
 
 def test_block_shapes_cover_all_names():
