@@ -18,20 +18,16 @@ from .errors import (BadMagic, BadSplit, CheckFailure, ConfigError, DataError,
                      LengthMismatch, MissingCell, MissingSubset, NearZeroNorm,
                      NonFiniteData, NonFiniteGradient, ShapeMismatch,
                      SpecInvalid, TruncatedFile, UnknownId)
-from .evaluation import (MetricReport, QuerySpec, Rankings, RankResult,
-                         aggregate_suite, evaluate, median_rank,
-                         queries_from_triplets, rank_queries, rank_targets,
-                         recall_at_k, recall_subset_at_k, round_half_up,
-                         score_matrix)
+from .evaluation import (MetricReport, QuerySpec, Rankings, aggregate_suite,
+                         evaluate, median_rank, queries_from_triplets,
+                         rank_queries, recall_at_k, round_half_up)
 from .harness import (BenchConfig, BenchReport, RunConfig, ablation_table,
                       bench_latency, gradient_check_suite, run_ablation,
                       write_synthetic)
-from .head import (Flavor, HeadDims, HeadParams, attention, head_mac_count,
+from .head import (Flavor, HeadDims, HeadParams, head_mac_count,
                    head_param_count, init_params, load_checkpoint,
-                   pairwise_scores, save_checkpoint, score, score_em,
-                   score_is)
-from .numerics import (finite_diff_check, l2_normalize, mlp2, softmax,
-                       weighted_cosine)
+                   pairwise_scores, save_checkpoint)
+from .numerics import finite_diff_check
 from .training import (AdamWState, EpochLog, TrainConfig, TrainResult,
                        adamw_step, bbc_loss, bbc_loss_from_scores,
                        lr_at_epoch, read_epoch_logs, select_checkpoint, train,
@@ -45,19 +41,16 @@ __all__ = [
     "EmisError", "EmptyInput", "EmptySplit", "EpochLog", "FeatureBank",
     "Flavor", "HeadDims", "HeadParams", "LengthMismatch", "MetricReport",
     "MissingCell", "MissingSubset", "NearZeroNorm", "NonFiniteData",
-    "NonFiniteGradient", "QuerySpec", "RankResult", "Rankings", "RunConfig",
-    "ShapeMismatch", "SpecInvalid",
-    "SynthInfo", "SynthSpec", "TrainConfig", "TrainResult", "TripletRecord",
-    "TripletSet", "TruncatedFile", "UnknownId", "ablation_table",
-    "adamw_step", "aggregate_suite", "attention", "bbc_loss",
-    "bbc_loss_from_scores", "bench_latency", "evaluate", "finite_diff_check",
-    "generate_synthetic", "gradient_check_suite", "head_mac_count",
-    "head_param_count", "init_params", "l2_normalize", "load_checkpoint",
-    "load_triplets", "lr_at_epoch", "median_rank", "mlp2", "pairwise_scores",
-    "queries_from_triplets", "rank_queries", "rank_targets", "read_epoch_logs",
-    "read_feature_bank", "recall_at_k", "recall_subset_at_k",
-    "round_half_up", "run_ablation", "save_checkpoint", "score", "score_em",
-    "score_is", "score_matrix", "select_checkpoint", "softmax", "train",
-    "weighted_cosine", "write_epoch_logs", "write_feature_bank",
-    "write_synthetic", "write_triplets",
+    "NonFiniteGradient", "QuerySpec", "Rankings", "RunConfig",
+    "ShapeMismatch", "SpecInvalid", "SynthInfo", "SynthSpec", "TrainConfig",
+    "TrainResult", "TripletRecord", "TripletSet", "TruncatedFile",
+    "UnknownId", "ablation_table", "adamw_step", "aggregate_suite",
+    "bbc_loss", "bbc_loss_from_scores", "bench_latency", "evaluate",
+    "finite_diff_check", "generate_synthetic", "gradient_check_suite",
+    "head_mac_count", "head_param_count", "init_params", "load_checkpoint",
+    "load_triplets", "lr_at_epoch", "median_rank", "pairwise_scores",
+    "queries_from_triplets", "rank_queries", "read_epoch_logs",
+    "read_feature_bank", "recall_at_k", "round_half_up", "run_ablation",
+    "save_checkpoint", "select_checkpoint", "train", "write_epoch_logs",
+    "write_feature_bank", "write_synthetic", "write_triplets",
 ]

@@ -8,9 +8,9 @@ float64 numpy arrays; each operation appends its output node to a
 backward pass is a single reverse sweep.
 
 Module-level helpers (``relu``, ``square``, ``sqrt``, ``sum_rows``,
-``softmax_rows``, ``logsumexp_rows``, ``diag_part``, ``transpose``)
-dispatch on ``Var`` vs plain ndarray, so forward-only callers pay no
-tape overhead while training code reuses the same formulas.
+``softmax_rows``, ``logsumexp_rows``, ``diag_part``) dispatch on
+``Var`` vs plain ndarray, so forward-only callers pay no tape overhead
+while training code reuses the same formulas.
 """
 
 from __future__ import annotations
@@ -286,8 +286,6 @@ def sqrt(x):
 
 def sum_rows(x):
     """Row sums, kept as a column for broadcasting."""
-    if isinstance(x, Var):
-        return x.sum(axis=1, keepdims=True)
     return x.sum(axis=1, keepdims=True)
 
 
@@ -301,10 +299,6 @@ def logsumexp_rows(x):
 
 def diag_part(x):
     return x.diag_part() if isinstance(x, Var) else np.diagonal(x).copy()
-
-
-def transpose(x):
-    return x.T
 
 
 def value_of(x) -> Array:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +18,12 @@ import numpy as np
 from .data import SynthSpec, read_feature_bank
 from .errors import CheckFailure, ConfigError, DataError, EmisError
 from .evaluation import aggregate_suite, evaluate, queries_from_triplets
-from .harness import (BenchConfig, RunConfig, ablation_table, bench_latency,
-                      gradient_check_suite, load_dataset, make_run_config,
-                      read_config_file, require_settings, resolve_dims,
-                      run_ablation, write_synthetic)
-from .head import load_checkpoint, save_checkpoint
+from .harness import (RUN_KEY_TYPES, BenchConfig, RunConfig, ablation_table,
+                      bench_latency, gradient_check_suite, load_dataset,
+                      make_run_config, read_config_file, require_settings,
+                      resolve_dims, run_ablation, write_synthetic)
+from .head import (HeadDims, head_mac_count, head_param_count, init_params,
+                   load_checkpoint, save_checkpoint)
 from .training import train, write_epoch_logs
 
 _CONFIG_KEY_DOC = """\
@@ -124,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value settings file (see emis --help)")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name in ("keep_partial_batch", "exclude_ref"):
+    for name, kind in RUN_KEY_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
             p.add_argument(flag, action="store_const", const=True, default=None,
                            help=argparse.SUPPRESS)
         else:
@@ -135,8 +135,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     file_settings = read_config_file(args.config) if args.config else None
-    overrides = {f.name: getattr(args, f.name)
-                 for f in fields(RunConfig) if hasattr(args, f.name)}
+    overrides = {name: getattr(args, name) for name in RUN_KEY_TYPES if hasattr(args, name)}
     return make_run_config(file_settings, overrides)
 
 
@@ -251,14 +250,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         h_t=args.dim, h_i=args.dim, h_hidden=args.dim,
                         repeats=args.repeats, block_size=args.block_size,
                         seed=args.seed)
+    dims = HeadDims(bench.h_t, bench.h_i, bench.h_hidden)
     params = None
     if args.checkpoint:
         if not Path(args.checkpoint).exists():
             raise ConfigError(f"checkpoint path {args.checkpoint!r} does not exist")
         params = load_checkpoint(args.checkpoint)
-        dims = params.dims
-        if (dims.h_t, dims.h_i, dims.h_hidden) != (bench.h_t, bench.h_i, bench.h_hidden):
-            raise ConfigError(f"checkpoint dims {dims} do not match --dim {args.dim}")
+        if params.dims != dims:
+            raise ConfigError(f"checkpoint dims {params.dims} do not match --dim {args.dim}")
+    print(f"head parameters: {head_param_count(params or init_params(dims)):,}")
+    print(f"head MACs per triplet: {head_mac_count(dims):,}")
+    print()
     report = bench_latency(bench, params=params)
     print(report.to_text())
     if args.out:

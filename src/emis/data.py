@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (BadMagic, BadSplit, DataError, DuplicateId, MissingSubset,
-                     ShapeMismatch, SpecInvalid, TruncatedFile, UnknownId)
+                     NonFiniteData, ShapeMismatch, SpecInvalid, TruncatedFile,
+                     UnknownId)
 from .numerics import NORM_EPS
 
 Array = np.ndarray
@@ -48,8 +49,10 @@ class FeatureBank:
             raise ShapeMismatch(f"bank data must be 2-D, got shape {self.data.shape}")
         if len(self.ids) != self.data.shape[0]:
             raise ShapeMismatch(f"{len(self.ids)} ids for {self.data.shape[0]} rows")
-        if not np.all(np.isfinite(self.data)):
-            raise ShapeMismatch("bank contains non-finite entries")
+        finite_rows = np.isfinite(self.data).all(axis=1)
+        if not finite_rows.all():
+            bad = int(np.argmin(finite_rows))
+            raise ShapeMismatch(f"row {bad} (id {self.ids[bad]!r}) holds non-finite values")
         seen: set[str] = set()
         for i in self.ids:
             if i in seen:
@@ -124,22 +127,29 @@ def read_feature_bank(path) -> FeatureBank:
     sidecar = ids_sidecar(path)
     if not sidecar.exists():
         raise TruncatedFile(f"{sidecar}: id sidecar missing")
+    try:
+        lines = sidecar.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise TruncatedFile(f"{sidecar}: id sidecar is not valid UTF-8") from None
     ids: list[str] = []
-    with open(sidecar, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                row, gid = obj["row"], obj["id"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                raise TruncatedFile(f"{sidecar}:{lineno + 1}: malformed id record") from None
-            if row != len(ids):
-                raise TruncatedFile(f"{sidecar}:{lineno + 1}: row {row}, expected {len(ids)}")
-            ids.append(str(gid))
+    for lineno, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            row, gid = obj["row"], obj["id"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise TruncatedFile(f"{sidecar}:{lineno + 1}: malformed id record") from None
+        if row != len(ids):
+            raise TruncatedFile(f"{sidecar}:{lineno + 1}: row {row}, expected {len(ids)}")
+        ids.append(str(gid))
     if len(ids) != rows:
         raise TruncatedFile(f"{sidecar}: {len(ids)} ids for {rows} rows")
-    return FeatureBank(ids=ids, data=data)
+    try:
+        return FeatureBank(ids=ids, data=data)
+    except ShapeMismatch as exc:
+        # Shape and id count are checked above, so only a non-finite row is left.
+        raise NonFiniteData(f"{path}: {exc}") from None
 
 
 @dataclass

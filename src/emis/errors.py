@@ -26,7 +26,7 @@ class ShapeMismatch(EmisError):
 
 
 class NearZeroNorm(EmisError):
-    """A vector that must be normalized has norm <= 1e-12."""
+    """A vector that must be normalized has norm <= 1e-12 or NaN."""
 
 
 class NonFiniteGradient(EmisError):
@@ -48,7 +48,7 @@ class DataError(EmisError):
 
 
 class BadMagic(DataError):
-    """File does not start with the expected magic/version."""
+    """File header has the wrong magic, version or an impossible size field."""
 
 
 class TruncatedFile(DataError):

@@ -4,8 +4,9 @@ Candidates are ordered by descending score with ascending-id
 tie-breaks, so results are deterministic. The streaming evaluator
 prepares the gallery once per call and scores the queries block by
 block against it. It computes ranks by exact counting (strictly-greater
-plus tied-with-lower-id), which is equivalent to the sort-based
-``rank_targets`` and cheap enough to run after every training epoch.
+plus tied-with-lower-id), which is equivalent to sorting each row and
+cheap enough to run after every training epoch; the sort itself lives
+in ``tests/rank_oracle.py`` as the oracle the ranker is tested against.
 The top-k dump uses exact partial selection: a partition finds the
 k-th best kept score, and only the candidates at or above it (every
 tie at the boundary included) are sorted, with the same tie-break. A
@@ -53,14 +54,6 @@ class QuerySpec:
                     f"query ({self.ref_id}, {self.mod_id}): subset contains no ground truth")
 
 
-@dataclass
-class RankResult:
-    """Sorted candidate ids for one query plus the best ground-truth rank."""
-
-    ordering: list[str]
-    rank: int
-
-
 def queries_from_triplets(triplets, split: str, exclude_ref: bool = False) -> list[QuerySpec]:
     """Build single-target queries for a split, attaching stored subsets."""
     out: list[QuerySpec] = []
@@ -99,50 +92,12 @@ def _map_blocks(fn: Callable, spans: list[tuple[int, int]], workers: int) -> lis
         return list(pool.map(lambda span: fn(*span), spans))
 
 
-def score_matrix(queries: Sequence[QuerySpec], corpus, params: HeadParams,
-                 flavor: Flavor, block_size: int = DEFAULT_BLOCK_SIZE,
-                 workers: int = 1) -> Array:
-    """Full queries x gallery score matrix (gallery = target bank order)."""
-    if not queries:
-        raise EmptyInput("no queries")
-    r_rows = corpus.refs.rows64([q.ref_id for q in queries])
-    m_rows = corpus.mods.rows64([q.mod_id for q in queries])
-    gallery = head.prepare_gallery(corpus.targets.matrix64(), params.dims, flavor)
-    out = np.empty((len(queries), gallery.tn.shape[0]), dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        out[lo:hi] = pairwise_scores(r_rows[lo:hi], m_rows[lo:hi], gallery, params, flavor)
-
-    _map_blocks(fill, _blocks(len(queries), block_size), workers)
-    return out
-
-
-def rank_targets(row, query: QuerySpec, gallery_ids: Sequence[str]) -> RankResult:
-    """Sort one score row (descending, ascending-id ties) and locate the truth."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.shape[0] != len(gallery_ids):
-        raise ShapeMismatch(f"row length {row.shape} vs gallery size {len(gallery_ids)}")
-    index = {gid: i for i, gid in enumerate(gallery_ids)}
-    keep = np.ones(len(gallery_ids), dtype=bool)
-    if query.exclude_ref and query.ref_id in index:
-        keep[index[query.ref_id]] = False
-    id_rank = _id_rank_of(gallery_ids)
-    cols = np.flatnonzero(keep)
-    order = cols[np.lexsort((id_rank[cols], -row[cols]))]
-    position = {int(c): p + 1 for p, c in enumerate(order)}
-    gt_positions = [position[index[g]] for g in query.ground_truth
-                    if g in index and keep[index[g]]]
-    if not gt_positions:
-        raise UnknownId(f"no ground truth of ({query.ref_id}, {query.mod_id}) in gallery")
-    return RankResult(ordering=[gallery_ids[c] for c in order], rank=min(gt_positions))
-
-
 def _counting_ranks(block: Array, gt_cols: list[list[int]], id_rank: Array,
                     keep: Array | None = None) -> Array:
     """Rank of the best ground-truth item per row, by exact counting.
 
     rank(g) = 1 + #{j kept: s_j > s_g} + #{j kept: s_j == s_g, id_rank_j < id_rank_g}.
-    Equivalent to the position under rank_targets' sort.
+    Equivalent to the position in the row sorted by (-score, id rank).
     """
     n_rows, _ = block.shape
     ranks = np.empty(n_rows, dtype=np.int64)
@@ -170,33 +125,6 @@ def recall_at_k(ranks, k: int) -> float:
     if k < 1:
         raise ConfigError("k must be >= 1")
     return 100.0 * float((ranks <= k).sum()) / ranks.size
-
-
-def recall_subset_at_k(queries: Sequence[QuerySpec], matrix, k: int,
-                       gallery_ids: Sequence[str]) -> float:
-    """Recall@k with each query ranked only among its candidate subset."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if not queries:
-        raise EmptyInput("no queries")
-    index = {gid: i for i, gid in enumerate(gallery_ids)}
-    id_rank = _id_rank_of(gallery_ids)
-    ranks = np.empty(len(queries), dtype=np.int64)
-    for i, q in enumerate(queries):
-        if q.subset_members is None:
-            raise MissingSubset(f"query ({q.ref_id}, {q.mod_id}) has no subset")
-        keep = np.zeros(len(gallery_ids), dtype=bool)
-        for member in q.subset_members:
-            if member not in index:
-                raise UnknownId(f"subset member {member!r} not in gallery")
-            keep[index[member]] = True
-        if q.exclude_ref and q.ref_id in index:
-            keep[index[q.ref_id]] = False
-        gt_cols = [index[g] for g in q.ground_truth if g in index and keep[index[g]]]
-        if not gt_cols:
-            raise MissingSubset(f"query ({q.ref_id}, {q.mod_id}): ground truth excluded "
-                                "from its own subset")
-        ranks[i] = _counting_ranks(matrix[i:i + 1], [gt_cols], id_rank, keep[None, :])[0]
-    return recall_at_k(ranks, k)
 
 
 def median_rank(ranks) -> float:
@@ -265,7 +193,7 @@ class Rankings:
 
 def _top_k(row: Array, k: int, excluded: int | None, id_rank: Array,
            scratch: Array) -> Array:
-    """Columns of the k best kept candidates of one row, in rank_targets' order.
+    """Columns of the k best kept candidates of one row, best first.
 
     The row is copied into ``scratch`` with the excluded column at -inf
     and partitioned there to find the k-th largest score, a lower bound

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -76,24 +76,21 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
-_INT_KEYS = {"batch_size", "epochs", "decay_every", "seed", "workers",
-             "block_size", "h_hidden"}
-_FLOAT_KEYS = {"lr0", "lr_decay", "weight_decay"}
-_BOOL_KEYS = {"keep_partial_batch", "exclude_ref"}
-_RUN_KEYS = {f.name for f in fields(RunConfig)}
+# Declared type of every RunConfig field, in field order: the one place
+# that says which keys are numbers and which are on/off flags.
+RUN_KEY_TYPES: dict[str, type] = get_type_hints(RunConfig)
 
 
 def _coerce(key: str, raw):
     if not isinstance(raw, str):
         return raw
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"setting {key}={raw!r} is not a number") from None
-    if key in _BOOL_KEYS:
+    kind = RUN_KEY_TYPES[key]
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"setting {key}={raw!r} is not a number") from None
+    if kind is bool:
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
@@ -129,7 +126,7 @@ def make_run_config(file_settings: dict | None = None,
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _RUN_KEYS:
+            if key not in RUN_KEY_TYPES:
                 raise ConfigError(f"unknown setting {key!r}")
             merged[key] = _coerce(key, value)
     return RunConfig(**merged)
@@ -367,9 +364,10 @@ def bench_latency(bench: BenchConfig = BenchConfig(),
 
 # -- gradient-check suite --------------------------------------------------------
 
-SCORE_CHECKS = ("score_em", "score_is")
+# "<what>_<flavor>": the summed pairwise scores of one branch, or the batch loss.
+SCORE_CHECKS = ("pairwise_em_only", "pairwise_is_only")
 CHECK_KINDS = SCORE_CHECKS + tuple(f"bbc_{f.value}" for f in Flavor)
-LARGE_CHECK_KINDS = ("score_em", "score_is", "bbc_artemis")
+LARGE_CHECK_KINDS = SCORE_CHECKS + ("bbc_artemis",)
 
 
 @dataclass
@@ -429,12 +427,9 @@ def _run_grad_instance(kind: str, seed: int, dims: HeadDims, batch: int,
     v0 = rng.normal(0.0, 0.5, size=_param_vector_size(dims))
     v0[-1] = rng.uniform(1.0, 5.0)  # temperature: keep FD probes positive
 
-    if kind.startswith("bbc_"):
-        flavor = Flavor.parse(kind[len("bbc_"):])
-        nq = ng = batch
-    else:
-        flavor = Flavor.EM_ONLY if kind == "score_em" else Flavor.IS_ONLY
-        nq, ng = 2, 3
+    what, _, flavor_name = kind.partition("_")
+    flavor = Flavor.parse(flavor_name)
+    nq, ng = (batch, batch) if what == "bbc" else (2, 3)
     r = _unit_rows(rng, nq, dims.h_i)
     m = _unit_rows(rng, nq, dims.h_t)
     t = _unit_rows(rng, ng, dims.h_i)
@@ -442,7 +437,7 @@ def _run_grad_instance(kind: str, seed: int, dims: HeadDims, batch: int,
     def f(vec):
         params = vector_to_params(vec, dims)
         scores = pairwise_scores(r, m, t, params, flavor)
-        if kind.startswith("bbc_"):
+        if what == "bbc":
             return bbc_loss_from_scores(scores, params.gamma)
         return scores.sum()
 

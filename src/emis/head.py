@@ -17,10 +17,10 @@ times individually.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Var, value_of
 from .errors import (BadMagic, ConfigError, NearZeroNorm, NonFiniteData, ShapeMismatch,
                      TruncatedFile)
-from .numerics import NORM_EPS, as_vec64, mlp2, softmax, weighted_cosine
+from .numerics import NORM_EPS
 
 Array = np.ndarray
 
@@ -175,79 +175,6 @@ def head_mac_count(dims: HeadDims) -> int:
     """
     attn = dims.h_t * dims.h_hidden + dims.h_hidden * dims.h_i
     return 2 * attn + dims.h_t * dims.h_i + 6 * dims.h_i
-
-
-# -- single-vector forward (plain arrays) -------------------------------------
-
-def attention(m, which: Literal["is", "em"], params: HeadParams) -> Array:
-    """Probability vector over image dimensions, conditioned on the modifier."""
-    branch = params.attn_is if which == "is" else params.attn_em
-    m = as_vec64(m, "modifier")
-    if m.shape[0] != params.dims.h_t:
-        raise ShapeMismatch(f"modifier length {m.shape[0]} vs h_t {params.dims.h_t}")
-    return softmax(mlp2(m, value_of(branch.w1), value_of(branch.b1),
-                        value_of(branch.w2), value_of(branch.b2)))
-
-
-def project(m, params: HeadParams) -> Array:
-    """Linear map of the modifier into image space."""
-    m = as_vec64(m, "modifier")
-    if m.shape[0] != params.dims.h_t:
-        raise ShapeMismatch(f"modifier length {m.shape[0]} vs h_t {params.dims.h_t}")
-    return m @ value_of(params.proj_w) + value_of(params.proj_b)
-
-
-def score_is(r, m, t, params: HeadParams) -> float:
-    """Cosine of reference and candidate under modifier-derived attention."""
-    return weighted_cosine(attention(m, "is", params), r, t)
-
-
-def score_em(m, t, params: HeadParams) -> float:
-    """Cosine of the projected modifier and the reweighted candidate."""
-    a = attention(m, "em", params)
-    p = project(m, params)
-    t = as_vec64(t, "candidate")
-    if t.shape[0] != params.dims.h_i:
-        raise ShapeMismatch(f"candidate length {t.shape[0]} vs h_i {params.dims.h_i}")
-    return _cosine(p, a * t)
-
-
-def _cosine(x: Array, y: Array) -> float:
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx <= NORM_EPS or ny <= NORM_EPS:
-        raise NearZeroNorm(f"norms too small for cosine: {nx!r}, {ny!r}")
-    return float(x @ y) / (nx * ny)
-
-
-def score(r, m, t, params: HeadParams, flavor: Flavor) -> float:
-    """Per-triplet compatibility under the given model variant."""
-    if flavor is Flavor.ARTEMIS:
-        return score_em(m, t, params) + score_is(r, m, t, params)
-    if flavor is Flavor.IS_ONLY:
-        return score_is(r, m, t, params)
-    if flavor is Flavor.EM_ONLY:
-        return score_em(m, t, params)
-    r = as_vec64(r, "reference")
-    m = as_vec64(m, "modifier")
-    t = as_vec64(t, "candidate")
-    if flavor is Flavor.IMAGE_ONLY:
-        _require_same_length(r, t, "reference", "candidate")
-        return _cosine(r, t)
-    if flavor is Flavor.TEXT_ONLY:
-        _require_same_length(m, t, "modifier", "candidate")
-        return _cosine(m, t)
-    if flavor is Flavor.LATE_FUSION:
-        _require_same_length(r, m, "reference", "modifier")
-        _require_same_length(r, t, "reference", "candidate")
-        return _cosine(r + m, t)
-    raise ShapeMismatch(f"unhandled flavor {flavor}")
-
-
-def _require_same_length(a: Array, b: Array, name_a: str, name_b: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{name_a} length {a.shape[0]} vs {name_b} length {b.shape[0]}; "
-                            "this flavor needs equal widths")
 
 
 # -- batched pairwise scores (generic over Var / ndarray) ----------------------
@@ -403,15 +330,16 @@ def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,
 
 
 def _guard_norms(norms, what: str) -> None:
+    # min() propagates NaN and NaN > eps is False, so NaN fails the guard too.
     smallest = float(value_of(norms).min())
-    if smallest <= NORM_EPS:
+    if not smallest > NORM_EPS:
         raise NearZeroNorm(f"{what} has norm {smallest!r}")
 
 
 def _normalize_rows(x: Array) -> Array:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     smallest = float(norms.min())
-    if smallest <= NORM_EPS:
+    if not smallest > NORM_EPS:
         raise NearZeroNorm(f"cannot normalize row with norm {smallest!r}")
     return x / norms
 
@@ -436,7 +364,7 @@ def vector_to_params(vec, dims: HeadDims) -> HeadParams:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.ndim != 1:
             raise ShapeMismatch(f"expected a flat vector, got shape {vec.shape}")
-    total = sum(int(np.prod(s)) if s else 1 for s in shapes.values())
+    total = sum(math.prod(s) for s in shapes.values())
     size = vec.value.size if is_var else vec.size
     if size != total:
         raise ShapeMismatch(f"vector has {size} entries, parameters need {total}")
@@ -444,7 +372,7 @@ def vector_to_params(vec, dims: HeadDims) -> HeadParams:
     offset = 0
     for name in BLOCK_NAMES:
         shape = shapes[name]
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         piece = vec.slice_1d(offset, offset + count) if is_var else vec[offset:offset + count]
         blocks[name] = piece.reshape(shape)
         offset += count
@@ -498,6 +426,8 @@ def load_checkpoint(path) -> HeadParams:
     version, h_t, h_i, h_hidden = struct.unpack_from("<IIII", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise BadMagic(f"{path}: unsupported checkpoint version {version}")
+    if min(h_t, h_i, h_hidden) < 1:
+        raise BadMagic(f"{path}: header dims {h_t}, {h_i}, {h_hidden} must be positive")
     dims = HeadDims(h_t, h_i, h_hidden)
     shapes = block_shapes(dims)
     blocks: dict[str, object] = {}
@@ -508,7 +438,7 @@ def load_checkpoint(path) -> HeadParams:
         (count,) = struct.unpack_from("<I", raw, offset)
         offset += 4
         shape = shapes[name]
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if count != expected:
             raise TruncatedFile(f"{path}: block {name} has {count} values, expected {expected}")
         end = offset + 8 * count

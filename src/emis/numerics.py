@@ -1,9 +1,9 @@
-"""Vector primitives and gradient verification.
+"""The norm floor and gradient verification.
 
-Everything here is float64 and pure. ``finite_diff_check`` is the
-ground-truth oracle used by the test suite and the ``gradcheck`` CLI
-command: it compares tape gradients against central differences,
-coordinate by coordinate.
+``NORM_EPS`` is the smallest norm the head and the banks will divide
+by. ``finite_diff_check`` is the ground-truth oracle used by the test
+suite and the ``gradcheck`` CLI command: it compares tape gradients
+against central differences, coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -14,85 +14,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .autodiff import Tape, Var
-from .errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
+from .errors import NonFiniteGradient, ShapeMismatch
 
 Array = np.ndarray
 
 NORM_EPS = 1e-12
-
-
-def as_vec64(x, name: str = "vector") -> Array:
-    """Validate and return a 1-D float64 array (finite, nonempty)."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeMismatch(f"{name} must be 1-D and nonempty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ShapeMismatch(f"{name} contains non-finite entries")
-    return v
-
-
-def as_mat64(x, name: str = "matrix") -> Array:
-    """Validate and return a 2-D float64 array (finite, nonempty)."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ShapeMismatch(f"{name} must be 2-D and nonempty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeMismatch(f"{name} contains non-finite entries")
-    return m
-
-
-def l2_normalize(x) -> Array:
-    """x / ||x||. Raises NearZeroNorm when ||x|| <= 1e-12."""
-    v = as_vec64(x)
-    norm = float(np.linalg.norm(v))
-    if norm <= NORM_EPS:
-        raise NearZeroNorm(f"cannot normalize vector with norm {norm!r}")
-    return v / norm
-
-
-def softmax(x) -> Array:
-    """Stable softmax of a vector (max-subtraction)."""
-    v = as_vec64(x)
-    z = v - v.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def mlp2(m, w1, b1, w2, b2) -> Array:
-    """Two-layer perceptron: relu(m @ w1 + b1) @ w2 + b2."""
-    m = as_vec64(m, "input")
-    w1 = as_mat64(w1, "w1")
-    b1 = as_vec64(b1, "b1")
-    w2 = as_mat64(w2, "w2")
-    b2 = as_vec64(b2, "b2")
-    if m.shape[0] != w1.shape[0]:
-        raise ShapeMismatch(f"input length {m.shape[0]} vs w1 rows {w1.shape[0]}")
-    if w1.shape[1] != b1.shape[0] or w1.shape[1] != w2.shape[0]:
-        raise ShapeMismatch(f"hidden width mismatch: w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}")
-    if w2.shape[1] != b2.shape[0]:
-        raise ShapeMismatch(f"output width mismatch: w2 {w2.shape}, b2 {b2.shape}")
-    hidden = np.maximum(m @ w1 + b1, 0.0)
-    return hidden @ w2 + b2
-
-
-def weighted_cosine(a, x, y) -> float:
-    """Cosine of (a*x, a*y).
-
-    Symmetric in x and y bit-for-bit: both dot products run over the
-    same index order and float multiplication commutes exactly.
-    """
-    a = as_vec64(a, "weights")
-    x = as_vec64(x, "x")
-    y = as_vec64(y, "y")
-    if not (a.shape == x.shape == y.shape):
-        raise ShapeMismatch(f"lengths differ: a {a.shape}, x {x.shape}, y {y.shape}")
-    ax = a * x
-    ay = a * y
-    nx = float(np.linalg.norm(ax))
-    ny = float(np.linalg.norm(ay))
-    if nx <= NORM_EPS or ny <= NORM_EPS:
-        raise NearZeroNorm(f"reweighted norms too small: {nx!r}, {ny!r}")
-    return float(ax @ ay) / (nx * ny)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,23 @@ def random_params(dims: HeadDims, seed: int) -> HeadParams:
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     rows = rng.standard_normal((n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+U32_EDGES = (0, 1, 2, 0x7FFFFFFF, 0xFFFFFFFF)
+
+
+def corruptions(raw: bytes, u32_fields: dict[str, int], nan_at: int, nan_format: str):
+    """(label, bytes) for every way the file fuzz breaks a valid file.
+
+    Every truncation, a wrong magic, each little-endian u32 header field
+    moved by one and set to edge values, and one payload value set to NaN.
+    """
+    for cut in range(len(raw)):
+        yield f"truncated to {cut} bytes", raw[:cut]
+    yield "magic", b"XXXX" + raw[4:]
+    for name, offset in u32_fields.items():
+        (orig,) = struct.unpack_from("<I", raw, offset)
+        for value in sorted({orig - 1, orig + 1, *U32_EDGES} - {orig, -1, 2 ** 32}):
+            yield f"{name}={value}", raw[:offset] + struct.pack("<I", value) + raw[offset + 4:]
+    nan = struct.pack(nan_format, float("nan"))
+    yield "NaN payload", raw[:nan_at] + nan + raw[nan_at + len(nan):]

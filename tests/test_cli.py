@@ -5,13 +5,17 @@ reasonable; one subprocess smoke test confirms `python3 -m emis` wires up.
 """
 
 import json
+import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from emis.cli import main
+from emis.cli import build_parser, main
+from emis.data import ids_sidecar
+from emis.harness import RunConfig, make_run_config
 from emis.head import Flavor, HeadDims, init_params, save_checkpoint
 
 SYNTH_FLAGS = ["--seed", "1", "--n-train", "48", "--n-eval", "5",
@@ -220,6 +224,22 @@ def test_corrupt_bank_is_data_error(dataset, tmp_path, capsys):
     assert "data error" in err
 
 
+def test_non_finite_or_undecodable_bank_exits_3(dataset, tmp_path, capsys):
+    raw = bytearray((dataset / "refs.afb").read_bytes())
+    nan_bank = tmp_path / "nan.afb"
+    dim = struct.unpack_from("<I", raw, 12)[0]
+    raw[16 + 4 * (2 * dim + 1):16 + 4 * (2 * dim + 2)] = struct.pack("<f", float("nan"))
+    nan_bank.write_bytes(bytes(raw))
+    ids_sidecar(nan_bank).write_text(ids_sidecar(dataset / "refs.afb").read_text())
+    code, _, err = run_cli(capsys, "inspect-bank", str(nan_bank))
+    assert code == 3
+    assert "data error" in err and "row 2" in err
+    ids_sidecar(nan_bank).write_bytes(b"\xff\xfe not utf-8\n")
+    code, _, err = run_cli(capsys, "inspect-bank", str(nan_bank))
+    assert code == 3
+    assert "data error" in err and "UTF-8" in err
+
+
 def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
     cfg = config_file(tmp_path / "run.cfg", dataset)
     fake = tmp_path / "fake.ahp"
@@ -275,6 +295,7 @@ def test_bench_tiny(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert set(payload["sections"]) == {"late_fusion", "artemis"}
     assert "scoring" in out
+    assert out.startswith("head parameters: 1,361\nhead MACs per triplet: 1,376\n")
 
 
 def test_bench_checkpoint_dim_mismatch(tmp_path, capsys):
@@ -286,6 +307,29 @@ def test_bench_checkpoint_dim_mismatch(tmp_path, capsys):
                            "--checkpoint", str(ckpt))
     assert code == 2
     assert "dims" in err
+
+
+def test_run_options_follow_run_config_field_types():
+    """Numbers coerce from their string form; every bool is a bare on-flag."""
+    samples = {int: ("7", 7), float: ("0.25", 0.25), bool: ("true", True)}
+    defaults = RunConfig()
+    typed = {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
+    typed = {name: kind for name, kind in typed.items() if kind in samples}
+    assert set(typed.values()) == set(samples)
+    parser = build_parser()
+    for name, kind in typed.items():
+        raw, want = samples[kind]
+        from_file = getattr(make_run_config({name: raw}), name)
+        assert type(from_file) is kind and from_file == want, name
+        flag = "--" + name.replace("_", "-")
+        argv = ["eval", flag] if kind is bool else ["eval", flag, raw]
+        parsed = getattr(parser.parse_args(argv), name)
+        from_flag = getattr(make_run_config(None, {name: parsed}), name)
+        assert type(from_flag) is kind and from_flag == want, name
+        if kind is bool:
+            assert getattr(parser.parse_args(["eval"]), name) is None
+            with pytest.raises(SystemExit):
+                parser.parse_args(["eval", flag, raw])   # a flag takes no value
 
 
 def test_help_lists_config_keys(capsys):

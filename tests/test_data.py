@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,11 +23,14 @@ from emis.errors import (
     DataError,
     DuplicateId,
     MissingSubset,
+    NonFiniteData,
     ShapeMismatch,
     SpecInvalid,
     TruncatedFile,
     UnknownId,
 )
+
+from conftest import corruptions
 
 GOLDEN_BANK_HEX = "414642310100000001000000020000000000003f000080bf"
 
@@ -135,6 +139,44 @@ def test_bank_sidecar_must_match(tmp_path):
     sidecar.write_text('{"row": 1, "id": "a"}\n{"row": 0, "id": "b"}\n')
     with pytest.raises(DataError):
         read_feature_bank(path)
+
+
+def test_bank_non_finite_payload_names_the_row(tmp_path):
+    bank = FeatureBank(ids=["a", "b", "c"], data=np.ones((3, 2), dtype=np.float32))
+    path = tmp_path / "bank.afb"
+    write_feature_bank(bank, path)
+    raw = bytearray(path.read_bytes())
+    raw[16 + 4 * 3:16 + 4 * 4] = struct.pack("<f", float("nan"))  # row 1, column 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(NonFiniteData, match=r"bank\.afb: row 1 \(id 'b'\)"):
+        read_feature_bank(path)
+
+
+def test_bank_sidecar_not_utf8(tmp_path):
+    bank = FeatureBank(ids=["a"], data=np.ones((1, 2), dtype=np.float32))
+    path = tmp_path / "bank.afb"
+    write_feature_bank(bank, path)
+    ids_sidecar(path).write_bytes(b'{"row": 0, "id": "\xff"}\n')
+    with pytest.raises(TruncatedFile, match="UTF-8"):
+        read_feature_bank(path)
+
+
+def test_bank_reader_corruption_fuzz(tmp_path):
+    bank = FeatureBank(ids=["a", "b", "c"],
+                       data=np.arange(6, dtype=np.float32).reshape(3, 2) + 1.0)
+    path = tmp_path / "bank.afb"
+    write_feature_bank(bank, path)
+    raw = path.read_bytes()
+    cases = list(corruptions(raw, {"version": 4, "rows": 8, "dim": 12},
+                             nan_at=len(raw) - 4, nan_format="<f"))
+    assert len(cases) > len(raw)
+    for label, broken in cases:
+        path.write_bytes(broken)
+        try:
+            read_feature_bank(path)
+        except DataError:
+            continue
+        pytest.fail(f"{label}: read without a DataError")
 
 
 def test_loaded_banks_have_unit_rows_after_normalization(tmp_path):

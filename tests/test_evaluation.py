@@ -22,21 +22,18 @@ from emis.evaluation import (
     FASHIONIQ_CATEGORIES,
     MetricReport,
     QuerySpec,
-    RankResult,
     aggregate_suite,
     evaluate,
     median_rank,
     queries_from_triplets,
     rank_queries,
-    rank_targets,
     recall_at_k,
-    recall_subset_at_k,
     round_half_up,
-    score_matrix,
 )
-from emis.head import Flavor, HeadDims, init_params
+from emis.head import Flavor, HeadDims, init_params, pairwise_scores
 
 from conftest import unit_rows
+from rank_oracle import RankResult, rank_targets
 
 
 def make_corpus(n_queries: int, n_gallery: int, dim: int, seed: int) -> Corpus:
@@ -67,6 +64,13 @@ def simple_queries(corpus: Corpus, rng: np.random.Generator,
     return out
 
 
+def full_scores(queries, corpus: Corpus, params, flavor: Flavor) -> np.ndarray:
+    """The whole queries x gallery matrix from one pairwise_scores call."""
+    return pairwise_scores(corpus.refs.rows64([q.ref_id for q in queries]),
+                           corpus.mods.rows64([q.mod_id for q in queries]),
+                           corpus.targets.matrix64(), params, flavor)
+
+
 # -- rounding ---------------------------------------------------------------------
 
 def test_round_half_up_cases():
@@ -84,7 +88,7 @@ def test_round_half_up_other_precision():
     assert round_half_up(123.4, 0) == 123.0
 
 
-# -- ranking ----------------------------------------------------------------------
+# -- ranking: the sort oracle itself ----------------------------------------------
 
 def test_rank_targets_descending_with_id_tiebreak():
     ids = ["b", "a", "c"]
@@ -172,36 +176,49 @@ def test_median_rank_odd_and_even():
 
 # -- subset recall ---------------------------------------------------------------------
 
+def subset_ranks(scores, queries: list[QuerySpec], gallery_ids: list[str]):
+    """rank_queries(...).subset_ranks over fixed scores, one row per query."""
+    corpus, patched = fixed_scores(np.array(scores, dtype=np.float64),
+                                   [q.ref_id for q in queries], gallery_ids)
+    with patched:
+        return rank_queries(queries, corpus, init_params(HeadDims(2, 2, 2), seed=0),
+                            Flavor.IMAGE_ONLY).subset_ranks
+
+
 def test_recall_subset_ranks_within_members_only():
     ids = ["a", "b", "c", "d"]
-    # target "d" is globally rank 4 but best inside its subset {d, a}
-    matrix = np.array([[0.9, 0.8, 0.7, 0.1]])
-    q = QuerySpec(ref_id="r", mod_id="m", ground_truth=("d",),
+    # target "d" is globally rank 4 but rank 2 inside its subset {d, a}
+    row = [0.9, 0.8, 0.7, 0.1]
+    q = QuerySpec(ref_id="r", mod_id="m0", ground_truth=("d",),
                   subset_members=("d", "a"))
-    assert recall_subset_at_k([q], matrix, 1, ids) == 0.0  # a (0.9) still beats d
-    q2 = QuerySpec(ref_id="r", mod_id="m", ground_truth=("d",),
+    ranks = subset_ranks([row], [q], ids)
+    assert ranks.tolist() == [2]
+    assert recall_at_k(ranks, 1) == 0.0  # a (0.9) still beats d
+    q2 = QuerySpec(ref_id="r", mod_id="m0", ground_truth=("d",),
                    subset_members=("d", "c"))
-    # wait: c (0.7) > d (0.1), so d is rank 2 in that subset as well
-    assert recall_subset_at_k([q2], matrix, 2, ids) == 100.0
+    # c (0.7) > d (0.1), so d is rank 2 in that subset as well
+    assert recall_at_k(subset_ranks([row], [q2], ids), 2) == 100.0
 
 
 def test_recall_subset_requires_subsets_and_known_members():
-    matrix = np.array([[0.5, 0.4]])
-    bare = QuerySpec(ref_id="r", mod_id="m", ground_truth=("a",))
-    with pytest.raises(MissingSubset):
-        recall_subset_at_k([bare], matrix, 1, ["a", "b"])
-    q = QuerySpec(ref_id="r", mod_id="m", ground_truth=("a",),
+    bare = QuerySpec(ref_id="r", mod_id="m0", ground_truth=("a",))
+    with_subset = QuerySpec(ref_id="s", mod_id="m1", ground_truth=("a",),
+                            subset_members=("a", "b"))
+    # one query without a subset: no subset ranks for any query
+    assert subset_ranks([[0.5, 0.4]] * 2, [with_subset, bare], ["a", "b"]) is None
+    q = QuerySpec(ref_id="r", mod_id="m0", ground_truth=("a",),
                   subset_members=("a", "zz"))
     with pytest.raises(UnknownId):
-        recall_subset_at_k([q], matrix, 1, ["a", "b"])
+        subset_ranks([[0.5, 0.4]], [q], ["a", "b"])
 
 
 def test_recall_subset_ground_truth_eaten_by_exclude_ref():
-    matrix = np.array([[0.5, 0.4]])
-    q = QuerySpec(ref_id="a", mod_id="m", ground_truth=("a",),
+    # "a" is both the reference and the subset's only ground truth; "c"
+    # is a ground truth outside the subset, so only the subset rank fails
+    q = QuerySpec(ref_id="a", mod_id="m0", ground_truth=("a", "c"),
                   subset_members=("a", "b"), exclude_ref=True)
     with pytest.raises(MissingSubset):
-        recall_subset_at_k([q], matrix, 1, ["a", "b"])
+        subset_ranks([[0.5, 0.4, 0.3]], [q], ["a", "b", "c"])
 
 
 # -- evaluate end to end -----------------------------------------------------------------
@@ -219,7 +236,7 @@ def test_evaluate_reports_all_metrics_and_matches_rank_targets():
     assert report.n_queries == 10
     assert report.label == "artemis"
 
-    matrix = score_matrix(queries, corpus, params, Flavor.ARTEMIS)
+    matrix = full_scores(queries, corpus, params, Flavor.ARTEMIS)
     ranks = [rank_targets(matrix[i], q, corpus.targets.ids).rank
              for i, q in enumerate(queries)]
     for k in (1, 5, 10, 50):
@@ -260,9 +277,14 @@ def test_evaluate_block_size_value_agreement():
     rng = np.random.default_rng(6)
     queries = simple_queries(corpus, rng)
     params = init_params(HeadDims(8, 8, 8), seed=2)
-    a = score_matrix(queries, corpus, params, Flavor.ARTEMIS, block_size=5)
-    b = score_matrix(queries, corpus, params, Flavor.ARTEMIS, block_size=17)
-    np.testing.assert_allclose(a, b, atol=1e-10)
+    a, b = (rank_queries(queries, corpus, params, Flavor.ARTEMIS, block_size=size,
+                         dump_top_k=25)
+            for size in (5, 17))
+    assert a.ranks.tolist() == b.ranks.tolist()
+    top_a, top_b = ([json.loads(line)["top"] for line in r.dump_lines] for r in (a, b))
+    assert [[e["id"] for e in top] for top in top_a] == [[e["id"] for e in top] for top in top_b]
+    np.testing.assert_allclose([[e["score"] for e in top] for top in top_a],
+                               [[e["score"] for e in top] for top in top_b], atol=1e-10)
 
 
 def test_evaluate_dump_lines(tmp_path):
@@ -275,7 +297,7 @@ def test_evaluate_dump_lines(tmp_path):
                       dump_path=dump, dump_top_k=4)
     lines = [json.loads(l) for l in dump.read_text().splitlines()]
     assert len(lines) == 6
-    matrix = score_matrix(queries, corpus, params, Flavor.LATE_FUSION)
+    matrix = full_scores(queries, corpus, params, Flavor.LATE_FUSION)
     for i, obj in enumerate(lines):
         assert obj["query"] == i
         assert len(obj["top"]) == 4
@@ -292,7 +314,7 @@ def test_evaluate_empty_queries():
     with pytest.raises(EmptyInput):
         evaluate([], corpus, params, Flavor.IMAGE_ONLY)
     with pytest.raises(EmptyInput):
-        score_matrix([], corpus, params, Flavor.IMAGE_ONLY)
+        rank_queries([], corpus, params, Flavor.IMAGE_ONLY)
 
 
 # -- the streaming ranker against the sort oracle -----------------------------------------

@@ -1,11 +1,12 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from emis.autodiff import Tape
-from emis.errors import (BadMagic, ConfigError, NearZeroNorm, NonFiniteData, ShapeMismatch,
-                         TruncatedFile)
+from emis.errors import (BadMagic, ConfigError, DataError, NearZeroNorm, NonFiniteData,
+                         ShapeMismatch, TruncatedFile)
 from emis.head import (
     BLOCK_NAMES,
     Flavor,
@@ -23,12 +24,11 @@ from emis.head import (
     params_to_vector,
     prepare_gallery,
     save_checkpoint,
-    score,
     scores_from_state,
     vector_to_params,
 )
 
-from conftest import oracle_from_params, unit_rows
+from conftest import corruptions, oracle_from_params, unit_rows
 
 FLAVORS = list(Flavor)
 
@@ -101,43 +101,46 @@ def test_flavor_parse():
         Flavor.parse("both_modules")
 
 
-# -- scalar scores against the pure-python oracle ---------------------------------
+# -- single triplets against the pure-python oracle -------------------------------
 
 def test_scalar_scores_match_oracle():
+    """One triplet at a time, with h_t != h_i (c4 runs at equal widths)."""
     dims = HeadDims(10, 8, 6)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         params = init_params(dims, seed=seed + 100)
-        r = unit_rows(rng, 1, dims.h_i)[0]
-        m = unit_rows(rng, 1, dims.h_t)[0]
-        t = unit_rows(rng, 1, dims.h_i)[0]
+        r = unit_rows(rng, 1, dims.h_i)
+        m = unit_rows(rng, 1, dims.h_t)
+        t = unit_rows(rng, 1, dims.h_i)
         oracle = oracle_from_params(params)
         for flavor in (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS):
-            got = score(r, m, t, params, flavor)
-            want = oracle.score(flavor.value, r.tolist(), m.tolist(), t.tolist())
-            assert got == pytest.approx(want, abs=1e-12)
+            got = pairwise_scores(r, m, t, params, flavor)
+            want = oracle.score(flavor.value, r[0].tolist(), m[0].tolist(), t[0].tolist())
+            assert got[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_scalar_parameter_free_scores_match_oracle():
+    """The parameter-free flavors match the oracle and ignore the weights."""
     dims = HeadDims(8, 8, 8)
     rng = np.random.default_rng(0)
-    params = init_params(dims, seed=1)
-    r, m, t = (unit_rows(rng, 1, 8)[0] for _ in range(3))
+    params, other = init_params(dims, seed=1), init_params(dims, seed=2)
+    r, m, t = (unit_rows(rng, 1, 8) for _ in range(3))
     oracle = oracle_from_params(params)
     for flavor in (Flavor.IMAGE_ONLY, Flavor.TEXT_ONLY, Flavor.LATE_FUSION):
-        got = score(r, m, t, params, flavor)
-        want = oracle.score(flavor.value, r.tolist(), m.tolist(), t.tolist())
-        assert got == pytest.approx(want, abs=1e-12)
+        got = pairwise_scores(r, m, t, params, flavor)
+        want = oracle.score(flavor.value, r[0].tolist(), m[0].tolist(), t[0].tolist())
+        assert got[0, 0] == pytest.approx(want, abs=1e-12)
+        assert np.array_equal(got, pairwise_scores(r, m, t, other, flavor))
 
 
 def test_scalar_artemis_is_exact_sum_of_parts():
     dims = HeadDims(12, 12, 5)
     rng = np.random.default_rng(7)
     params = init_params(dims, seed=7)
-    r, m, t = (unit_rows(rng, 1, 12)[0] for _ in range(3))
-    em = score(r, m, t, params, Flavor.EM_ONLY)
-    is_ = score(r, m, t, params, Flavor.IS_ONLY)
-    assert score(r, m, t, params, Flavor.ARTEMIS) == em + is_
+    r, m, t = (unit_rows(rng, 1, 12) for _ in range(3))
+    em = pairwise_scores(r, m, t, params, Flavor.EM_ONLY)
+    is_ = pairwise_scores(r, m, t, params, Flavor.IS_ONLY)
+    assert np.array_equal(pairwise_scores(r, m, t, params, Flavor.ARTEMIS), em + is_)
 
 
 # -- batched scores ---------------------------------------------------------------
@@ -152,12 +155,14 @@ def _toy_batch(dims: HeadDims, n_q: int, n_t: int, seed: int):
 def test_pairwise_matches_scalar_loop(flavor):
     dims = HeadDims(9, 9, 5)
     params = init_params(dims, seed=4)
+    oracle = oracle_from_params(params)
     r_rows, m_rows, t_rows = _toy_batch(dims, 6, 11, seed=4)
     got = pairwise_scores(r_rows, m_rows, t_rows, params, flavor)
     assert got.shape == (6, 11)
     for i in range(6):
         for j in range(11):
-            want = score(r_rows[i], m_rows[i], t_rows[j], params, flavor)
+            want = oracle.score(flavor.value, r_rows[i].tolist(), m_rows[i].tolist(),
+                                t_rows[j].tolist())
             assert got[i, j] == pytest.approx(want, abs=1e-10)
 
 
@@ -245,6 +250,24 @@ def test_zero_rows_raise_near_zero_norm():
     bad_t[1] = 0.0
     with pytest.raises(NearZeroNorm):
         prepare_gallery(bad_t, dims, Flavor.IMAGE_ONLY)
+
+
+def test_nan_head_raises_near_zero_norm():
+    dims = HeadDims(4, 4, 4)
+    params = init_params(dims, seed=0)
+    params.attn_em.b2[1] = np.nan
+    r_rows, m_rows, t_rows = _toy_batch(dims, 3, 5, seed=0)
+    with pytest.raises(NearZeroNorm, match="nan"):
+        pairwise_scores(r_rows, m_rows, t_rows, params, Flavor.EM_ONLY)
+
+
+def test_prepare_gallery_nan_row_raises_near_zero_norm():
+    dims = HeadDims(4, 4, 4)
+    t_rows = unit_rows(np.random.default_rng(0), 3, 4)
+    t_rows[2, 1] = np.nan
+    for flavor in (Flavor.IMAGE_ONLY, Flavor.ARTEMIS):
+        with pytest.raises(NearZeroNorm, match="nan"):
+            prepare_gallery(t_rows, dims, flavor)
 
 
 # -- flattening -------------------------------------------------------------------
@@ -354,6 +377,29 @@ def test_checkpoint_non_finite_block_is_rejected(tmp_path, bad):
     save_checkpoint(params, path)
     with pytest.raises(NonFiniteData, match="attn_em.b2"):
         load_checkpoint(path)
+
+
+def test_checkpoint_reader_corruption_fuzz(tmp_path):
+    dims = HeadDims(2, 3, 2)
+    path = tmp_path / "head.ahp"
+    save_checkpoint(init_params(dims, seed=0), path)
+    raw = path.read_bytes()
+    fields = {"version": 4, "h_t": 8, "h_i": 12, "h_hidden": 16}
+    offset = 20
+    for name, shape in block_shapes(dims).items():
+        fields[f"{name} count"] = offset
+        offset += 4 + 8 * math.prod(shape)
+    assert offset == len(raw)
+    cases = list(corruptions(raw, fields, nan_at=fields["proj.w count"] + 4,
+                             nan_format="<d"))
+    assert len(cases) > len(raw)
+    for label, broken in cases:
+        path.write_bytes(broken)
+        try:
+            load_checkpoint(path)
+        except DataError:
+            continue
+        pytest.fail(f"{label}: loaded without a DataError")
 
 
 def test_block_shapes_cover_all_names():

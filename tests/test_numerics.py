@@ -4,52 +4,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from emis import autodiff as ad
 from emis.errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
-from emis.numerics import (
-    NORM_EPS,
-    as_mat64,
-    as_vec64,
-    finite_diff_check,
-    l2_normalize,
-    mlp2,
-    softmax,
-    weighted_cosine,
-)
+from emis.head import (AttentionParams, Flavor, HeadDims, attention_rows, init_params,
+                       pairwise_scores, prepare_gallery)
+from emis.numerics import finite_diff_check
 
 import scalar_oracle
+from conftest import oracle_from_params
 
 finite_vecs = arrays(np.float64, st.integers(1, 12),
                      elements=st.floats(-50, 50, allow_nan=False))
 
 
-# -- validation helpers -----------------------------------------------------------
-
-def test_as_vec64_rejects_bad_inputs():
-    with pytest.raises(ShapeMismatch):
-        as_vec64([[1.0, 2.0]])
-    with pytest.raises(ShapeMismatch):
-        as_vec64([])
-    with pytest.raises(ShapeMismatch):
-        as_vec64([1.0, np.nan])
+def unit_gallery_row(v) -> np.ndarray:
+    """One row through the head's L2 normalization (the gallery prepare step)."""
+    v = np.asarray(v, dtype=np.float64)
+    dims = HeadDims(v.size, v.size, 1)
+    return prepare_gallery(v[None, :], dims, Flavor.IMAGE_ONLY).tn[0]
 
 
-def test_as_mat64_rejects_bad_inputs():
-    with pytest.raises(ShapeMismatch):
-        as_mat64([1.0, 2.0])
-    with pytest.raises(ShapeMismatch):
-        as_mat64([[1.0, np.inf]])
-
-
-# -- l2_normalize -----------------------------------------------------------------
+# -- l2 normalization -------------------------------------------------------------
 
 def test_l2_normalize_basic():
-    out = l2_normalize([3.0, 4.0])
-    np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
+    np.testing.assert_allclose(unit_gallery_row([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
 
 
 def test_l2_normalize_zero_raises():
     with pytest.raises(NearZeroNorm):
-        l2_normalize([0.0, 0.0])
+        unit_gallery_row([0.0, 0.0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -57,12 +40,16 @@ def test_l2_normalize_zero_raises():
 def test_l2_normalize_unit_norm_and_idempotent(v):
     if np.linalg.norm(v) <= 1e-6:
         return
-    u = l2_normalize(v)
+    u = unit_gallery_row(v)
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(l2_normalize(u), u, atol=1e-15)
+    np.testing.assert_allclose(unit_gallery_row(u), u, atol=1e-15)
 
 
-# -- softmax ----------------------------------------------------------------------
+# -- softmax (the attention's row softmax, on plain arrays) ----------------------------
+
+def softmax(v) -> np.ndarray:
+    return ad.softmax_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
+
 
 def test_softmax_matches_oracle():
     v = [0.3, -1.2, 2.0, 0.0]
@@ -87,74 +74,80 @@ def test_softmax_shift_invariance_and_simplex(v, shift):
         assert int(np.argmax(base)) == int(np.argmax(v))
 
 
-# -- mlp2 ---------------------------------------------------------------------------
+# -- the attention MLP ---------------------------------------------------------------
 
 def test_mlp2_matches_oracle():
+    """An attention branch is softmax(relu(m @ w1 + b1) @ w2 + b2)."""
     rng = np.random.default_rng(0)
-    m = rng.standard_normal(5)
-    w1, b1 = rng.standard_normal((5, 4)), rng.standard_normal(4)
-    w2, b2 = rng.standard_normal((4, 3)), rng.standard_normal(3)
-    got = mlp2(m, w1, b1, w2, b2)
-    want = scalar_oracle.affine(
-        scalar_oracle.relu(scalar_oracle.affine(m.tolist(), w1.tolist(), b1.tolist())),
-        w2.tolist(), b2.tolist())
-    np.testing.assert_allclose(got, want, atol=1e-13)
+    m = rng.standard_normal((1, 5))
+    branch = AttentionParams(w1=rng.standard_normal((5, 4)), b1=rng.standard_normal(4),
+                             w2=rng.standard_normal((4, 3)), b2=rng.standard_normal(3))
+    hidden = scalar_oracle.relu(scalar_oracle.affine(m[0].tolist(), branch.w1.tolist(),
+                                                     branch.b1.tolist()))
+    want = scalar_oracle.softmax(scalar_oracle.affine(hidden, branch.w2.tolist(),
+                                                      branch.b2.tolist()))
+    np.testing.assert_allclose(attention_rows(m, branch)[0], want, atol=1e-13)
 
 
 def test_mlp2_shape_mismatches():
+    """The attention MLP's input width is checked before any product."""
+    dims = HeadDims(5, 3, 4)
+    params = init_params(dims, seed=1)
     rng = np.random.default_rng(1)
-    w1, b1 = rng.standard_normal((5, 4)), rng.standard_normal(4)
-    w2, b2 = rng.standard_normal((4, 3)), rng.standard_normal(3)
-    with pytest.raises(ShapeMismatch):
-        mlp2(rng.standard_normal(6), w1, b1, w2, b2)
-    with pytest.raises(ShapeMismatch):
-        mlp2(rng.standard_normal(5), w1, rng.standard_normal(5), w2, b2)
-    with pytest.raises(ShapeMismatch):
-        mlp2(rng.standard_normal(5), w1, b1, w2, rng.standard_normal(4))
+    r, t = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
+    for flavor in (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS):
+        with pytest.raises(ShapeMismatch):
+            pairwise_scores(r, rng.standard_normal((2, 6)), t, params, flavor)
 
 
-# -- weighted cosine -----------------------------------------------------------------
+# -- weighted cosine (the implicit-similarity branch) ------------------------------------
 
 def test_weighted_cosine_matches_oracle():
+    dims = HeadDims(6, 6, 4)
+    params = init_params(dims, seed=2)
+    oracle = oracle_from_params(params)
     rng = np.random.default_rng(2)
-    a, x, y = rng.uniform(0.1, 1.0, 6), rng.standard_normal(6), rng.standard_normal(6)
-    got = weighted_cosine(a, x, y)
-    want = scalar_oracle.cosine(scalar_oracle.hadamard(a.tolist(), x.tolist()),
-                                scalar_oracle.hadamard(a.tolist(), y.tolist()))
-    assert got == pytest.approx(want, abs=1e-14)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_weighted_cosine_symmetry_is_bitwise(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 16))
-    a = rng.uniform(0.05, 2.0, n)
-    x = rng.standard_normal(n)
-    y = rng.standard_normal(n)
-    assert weighted_cosine(a, x, y) == weighted_cosine(a, y, x)
+    r, m, t = rng.standard_normal((2, 6)), rng.standard_normal((2, 6)), rng.standard_normal((3, 6))
+    got = pairwise_scores(r, m, t, params, Flavor.IS_ONLY)
+    for i in range(2):
+        a = oracle.attention("is", m[i].tolist())
+        for j in range(3):
+            want = scalar_oracle.cosine(scalar_oracle.hadamard(a, r[i].tolist()),
+                                        scalar_oracle.hadamard(a, t[j].tolist()))
+            assert got[i, j] == pytest.approx(want, abs=1e-14)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.01, 100.0))
 def test_weighted_cosine_scale_invariance_and_bounds(seed, c):
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.05, 2.0, 8)
-    x = rng.standard_normal(8)
-    y = rng.standard_normal(8)
-    base = weighted_cosine(a, x, y)
-    assert -1.0 - 1e-12 <= base <= 1.0 + 1e-12
-    assert weighted_cosine(a, c * x, y) == pytest.approx(base, abs=1e-12)
+    params = init_params(HeadDims(8, 8, 8), seed=seed % 7)
+    r, m, t = rng.standard_normal((3, 8)), rng.standard_normal((3, 8)), rng.standard_normal((4, 8))
+    base = pairwise_scores(r, m, t, params, Flavor.IS_ONLY)
+    assert np.all((-1.0 - 1e-12 <= base) & (base <= 1.0 + 1e-12))
+    np.testing.assert_allclose(pairwise_scores(c * r, m, t, params, Flavor.IS_ONLY), base,
+                               atol=1e-12)
 
 
 def test_weighted_cosine_zero_weight_raises():
+    # w2 = 0 and a -1e4 bias make the softmax underflow to exactly (1, 0, 0),
+    # which zeroes out every coordinate of this reference.
+    params = init_params(HeadDims(3, 3, 2), seed=0)
+    params.attn_is.w2[:] = 0.0
+    params.attn_is.b2[:] = [0.0, -1e4, -1e4]
+    r = np.array([[0.0, 1.0, 2.0]])
+    m = np.array([[1.0, 2.0, 3.0]])
+    t = np.array([[3.0, 4.0, 5.0]])
     with pytest.raises(NearZeroNorm):
-        weighted_cosine([0.0, 0.0], [1.0, 2.0], [3.0, 4.0])
+        pairwise_scores(r, m, t, params, Flavor.IS_ONLY)
 
 
 def test_weighted_cosine_length_mismatch():
+    params = init_params(HeadDims(2, 2, 2), seed=0)
     with pytest.raises(ShapeMismatch):
-        weighted_cosine([1.0], [1.0, 2.0], [3.0, 4.0])
+        pairwise_scores([[1.0]], [[1.0, 2.0]], [[3.0, 4.0]], params, Flavor.IS_ONLY)
+    with pytest.raises(ShapeMismatch):
+        pairwise_scores([[1.0, 2.0]], [[1.0, 2.0]], [[3.0]], params, Flavor.IS_ONLY)
 
 
 # -- finite difference checker ---------------------------------------------------------
