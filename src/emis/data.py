@@ -201,30 +201,38 @@ def write_triplets(triplets: TripletSet, path, subsets_path=None) -> None:
                                      "members": list(triplets.subsets[index])}) + "\n")
 
 
+def _text_lines(path, what: str) -> list[str]:
+    """Lines of a UTF-8 text file; undecodable bytes are a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: {what} file is not valid UTF-8") from None
+
+
 def load_triplets(path, corpus: Corpus | None = None, subsets_path=None) -> TripletSet:
     """Read and validate triplet JSONL; errors name the offending line."""
     records: list[TripletRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rec = TripletRecord(ref=str(obj["ref"]), mod=str(obj["mod"]),
-                                    tgt=str(obj["tgt"]), split=str(obj["split"]))
-            except (json.JSONDecodeError, KeyError, TypeError):
-                raise DataError(f"{path}:{lineno}: malformed triplet record") from None
-            if rec.split not in SPLITS:
-                raise BadSplit(f"{path}:{lineno}: split {rec.split!r} not in {SPLITS}")
-            if corpus is not None:
-                for bank, gid, role in ((corpus.refs, rec.ref, "ref"),
-                                        (corpus.mods, rec.mod, "mod"),
-                                        (corpus.targets, rec.tgt, "tgt")):
-                    try:
-                        bank.row_of(gid)
-                    except UnknownId:
-                        raise UnknownId(f"{path}:{lineno}: unknown {role} id {gid!r}") from None
-            records.append(rec)
+    for lineno, line in enumerate(_text_lines(path, "triplets"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            rec = TripletRecord(ref=str(obj["ref"]), mod=str(obj["mod"]),
+                                tgt=str(obj["tgt"]), split=str(obj["split"]))
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise DataError(f"{path}:{lineno}: malformed triplet record") from None
+        if rec.split not in SPLITS:
+            raise BadSplit(f"{path}:{lineno}: split {rec.split!r} not in {SPLITS}")
+        if corpus is not None:
+            for bank, gid, role in ((corpus.refs, rec.ref, "ref"),
+                                    (corpus.mods, rec.mod, "mod"),
+                                    (corpus.targets, rec.tgt, "tgt")):
+                try:
+                    bank.row_of(gid)
+                except UnknownId:
+                    raise UnknownId(f"{path}:{lineno}: unknown {role} id {gid!r}") from None
+        records.append(rec)
     triplets = TripletSet(records=records)
     if subsets_path is not None:
         _attach_subsets(triplets, subsets_path, corpus)
@@ -232,30 +240,29 @@ def load_triplets(path, corpus: Corpus | None = None, subsets_path=None) -> Trip
 
 
 def _attach_subsets(triplets: TripletSet, path, corpus: Corpus | None) -> None:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                index = int(obj["query"])
-                members = tuple(str(m) for m in obj["members"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                raise DataError(f"{path}:{lineno}: malformed subset record") from None
-            if not 0 <= index < len(triplets.records):
-                raise UnknownId(f"{path}:{lineno}: query index {index} out of range")
-            record = triplets.records[index]
-            if record.tgt not in members:
-                raise MissingSubset(f"{path}:{lineno}: subset for query {index} "
-                                    f"does not contain its target {record.tgt!r}")
-            if corpus is not None:
-                for m in members:
-                    try:
-                        corpus.targets.row_of(m)
-                    except UnknownId:
-                        raise UnknownId(f"{path}:{lineno}: subset member {m!r} "
-                                        "not in target bank") from None
-            triplets.subsets[index] = members
+    for lineno, line in enumerate(_text_lines(path, "subsets"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            index = int(obj["query"])
+            members = tuple(str(m) for m in obj["members"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            raise DataError(f"{path}:{lineno}: malformed subset record") from None
+        if not 0 <= index < len(triplets.records):
+            raise UnknownId(f"{path}:{lineno}: query index {index} out of range")
+        record = triplets.records[index]
+        if record.tgt not in members:
+            raise MissingSubset(f"{path}:{lineno}: subset for query {index} "
+                                f"does not contain its target {record.tgt!r}")
+        if corpus is not None:
+            for m in members:
+                try:
+                    corpus.targets.row_of(m)
+                except UnknownId:
+                    raise UnknownId(f"{path}:{lineno}: subset member {m!r} "
+                                    "not in target bank") from None
+        triplets.subsets[index] = members
 
 
 # -- synthetic attribute-flip benchmark -----------------------------------------

@@ -3,10 +3,10 @@
 Candidates are ordered by descending score with ascending-id
 tie-breaks, so results are deterministic. The streaming evaluator
 prepares the gallery once per call and scores the queries block by
-block against it. It computes ranks by exact counting (strictly-greater
-plus tied-with-lower-id), which is equivalent to sorting each row and
-cheap enough to run after every training epoch; the sort itself lives
-in ``tests/rank_oracle.py`` as the oracle the ranker is tested against.
+block against it. A query's rank is one plus the number of candidates
+ahead of its first ground truth (scoring higher, or tied with a lower
+id), counted block-wide; subset ranks count over the members only. The
+sort this equals lives in ``tests/rank_oracle.py`` as the ranker's oracle.
 The top-k dump uses exact partial selection: a partition finds the
 k-th best kept score, and only the candidates at or above it (every
 tie at the boundary included) are sorted, with the same tie-break. A
@@ -70,8 +70,7 @@ def _id_rank_of(gallery_ids: Sequence[str]) -> Array:
     """Position of each gallery id in ascending-id order (tie-break key)."""
     order = sorted(range(len(gallery_ids)), key=gallery_ids.__getitem__)
     rank = np.empty(len(gallery_ids), dtype=np.int64)
-    for position, idx in enumerate(order):
-        rank[idx] = position
+    rank[order] = np.arange(len(gallery_ids))
     return rank
 
 
@@ -92,29 +91,15 @@ def _map_blocks(fn: Callable, spans: list[tuple[int, int]], workers: int) -> lis
         return list(pool.map(lambda span: fn(*span), spans))
 
 
-def _counting_ranks(block: Array, gt_cols: list[list[int]], id_rank: Array,
-                    keep: Array | None = None) -> Array:
-    """Rank of the best ground-truth item per row, by exact counting.
+def _ahead(scores: Array, id_ranks: Array, s, r) -> Array:
+    """Candidates ordered before (score ``s``, id rank ``r``): a higher
+    score, or the same score and a lower id rank. Broadcasts."""
+    return (scores > s) | ((scores == s) & (id_ranks < r))
 
-    rank(g) = 1 + #{j kept: s_j > s_g} + #{j kept: s_j == s_g, id_rank_j < id_rank_g}.
-    Equivalent to the position in the row sorted by (-score, id rank).
-    """
-    n_rows, _ = block.shape
-    ranks = np.empty(n_rows, dtype=np.int64)
-    for i in range(n_rows):
-        row = block[i]
-        mask = keep[i] if keep is not None else None
-        best = None
-        for col in gt_cols[i]:
-            greater = (row > row[col])
-            tied = (row == row[col]) & (id_rank < id_rank[col])
-            if mask is not None:
-                greater &= mask
-                tied &= mask
-            rank = 1 + int(greater.sum()) + int(tied.sum())
-            best = rank if best is None else min(best, rank)
-        ranks[i] = best
-    return ranks
+
+def _first(row: Array, cols, id_rank: Array) -> int:
+    """The column among ``cols`` that orders first by (-score, id rank)."""
+    return min(cols, key=lambda c: (-row[c], id_rank[c]))
 
 
 def recall_at_k(ranks, k: int) -> float:
@@ -220,7 +205,7 @@ def _top_k(row: Array, k: int, excluded: int | None, id_rank: Array,
 def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: Flavor,
                  block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1,
                  dump_top_k: int | None = None) -> Rankings:
-    """Streamed ranking: one prepared gallery, block scoring, counting ranks.
+    """Streamed ranking: one prepared gallery, block scoring, counted ranks.
 
     Subset ranks are computed when every query carries a subset. With
     ``dump_top_k`` set, each query also gets a JSON line with its rank
@@ -255,36 +240,37 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
         chunk = queries[lo:hi]
         excluded = [index[q.ref_id] if q.exclude_ref and q.ref_id in index else None
                     for q in chunk]
-        keep = None
-        if any(col is not None for col in excluded):
-            keep = np.ones((hi - lo, n_gallery), dtype=bool)
-            for i, col in enumerate(excluded):
-                if col is not None:
-                    keep[i, col] = False
         gt_cols = []
         for q, skip in zip(chunk, excluded):
             cols = [index[g] for g in q.ground_truth if g in index and index[g] != skip]
             if not cols:
                 raise UnknownId(f"no ground truth of ({q.ref_id}, {q.mod_id}) in gallery")
             gt_cols.append(cols)
-        block_ranks = _counting_ranks(block, gt_cols, id_rank, keep)
+        # Id ranks are unique, so the order is total and the best rank is
+        # that of the first ground truth: count the candidates ahead of it.
+        first = np.array([_first(row, cols, id_rank) for row, cols in zip(block, gt_cols)])
+        rows = np.arange(hi - lo)
+        ahead = _ahead(block, id_rank, block[rows, first][:, None], id_rank[first][:, None])
+        block_ranks = 1 + ahead.sum(axis=1)
+        for i, col in enumerate(excluded):
+            if col is not None:
+                block_ranks[i] -= ahead[i, col]
         block_subset = None
         if with_subsets:
             block_subset = np.empty(hi - lo, dtype=np.int64)
             for i, q in enumerate(chunk):
-                mask = np.zeros(n_gallery, dtype=bool)
-                for member in q.subset_members:
-                    if member not in index:
-                        raise UnknownId(f"subset member {member!r} not in gallery")
-                    mask[index[member]] = True
-                if excluded[i] is not None:
-                    mask[excluded[i]] = False
-                cols = [c for c in gt_cols[i] if mask[c]]
+                unknown = [m for m in q.subset_members if m not in index]
+                if unknown:
+                    raise UnknownId(f"subset member {unknown[0]!r} not in gallery")
+                members = {index[m] for m in q.subset_members} - {excluded[i]}
+                cols = [c for c in gt_cols[i] if c in members]
                 if not cols:
                     raise MissingSubset(f"query ({q.ref_id}, {q.mod_id}): ground truth "
                                         "excluded from its own subset")
-                block_subset[i] = _counting_ranks(block[i:i + 1], [cols],
-                                                  id_rank, mask[None, :])[0]
+                row, col = block[i], _first(block[i], cols, id_rank)
+                member_cols = np.fromiter(members, dtype=np.int64)
+                block_subset[i] = 1 + _ahead(row[member_cols], id_rank[member_cols],
+                                             row[col], id_rank[col]).sum()
         block_dump: list[str] = []
         if dump_top_k is not None:
             scratch = np.empty(n_gallery, dtype=np.float64)

@@ -107,6 +107,8 @@ def read_config_file(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not valid UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -330,17 +330,16 @@ def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,
 
 
 def _guard_norms(norms, what: str) -> None:
-    # min() propagates NaN and NaN > eps is False, so NaN fails the guard too.
-    smallest = float(value_of(norms).min())
+    # min() propagates NaN and NaN > eps is False, so NaN fails the guard
+    # too; the inf start lets zero rows through.
+    smallest = float(value_of(norms).min(initial=np.inf))
     if not smallest > NORM_EPS:
         raise NearZeroNorm(f"{what} has norm {smallest!r}")
 
 
 def _normalize_rows(x: Array) -> Array:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    smallest = float(norms.min())
-    if not smallest > NORM_EPS:
-        raise NearZeroNorm(f"cannot normalize row with norm {smallest!r}")
+    _guard_norms(norms, "row to normalize")
     return x / norms
 
 

@@ -5,6 +5,7 @@ reasonable; one subprocess smoke test confirms `python3 -m emis` wires up.
 """
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -240,6 +241,19 @@ def test_non_finite_or_undecodable_bank_exits_3(dataset, tmp_path, capsys):
     assert "data error" in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("which, exit_code", [("triplets", 3), ("subsets", 3), ("config", 2)])
+def test_non_utf8_input_file_exits_with_its_code(dataset, tmp_path, capsys, which, exit_code):
+    bad = tmp_path / f"bad-{which}"
+    bad.write_bytes(b"\xff\n")
+    cfg = config_file(tmp_path / "run.cfg", dataset)
+    argv = (["--config", str(bad)] if which == "config"
+            else ["--config", cfg, f"--{which}", str(bad)])
+    code, _, err = run_cli(capsys, "train", "--checkpoint", str(tmp_path / "h.ahp"), *argv)
+    assert code == exit_code
+    assert str(bad) in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
     cfg = config_file(tmp_path / "run.cfg", dataset)
     fake = tmp_path / "fake.ahp"
@@ -342,9 +356,12 @@ def test_help_lists_config_keys(capsys):
 
 
 def test_module_entry_point(dataset):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "emis", "inspect-bank",
          str(dataset / "refs.afb")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "rows x" in proc.stdout

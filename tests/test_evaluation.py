@@ -376,8 +376,9 @@ def test_streaming_ranker_matches_sort_oracle(data):
                                                max_size=2))))
         members = None
         if with_subsets:
-            members = tuple(sorted(data.draw(st.sets(st.sampled_from(gallery_ids), max_size=4))
-                                   | {truth[0]}))
+            # a list, so members may repeat: each must still count once
+            members = tuple(data.draw(st.lists(st.sampled_from(gallery_ids), max_size=5))
+                            + [truth[0]])
         ref_ids.append(ref)
         queries.append(QuerySpec(ref_id=ref, mod_id=f"m{i}", ground_truth=truth,
                                  subset_members=members, exclude_ref=exclude_ref))

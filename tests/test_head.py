@@ -270,6 +270,18 @@ def test_prepare_gallery_nan_row_raises_near_zero_norm():
             prepare_gallery(t_rows, dims, flavor)
 
 
+@pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
+def test_zero_row_blocks_score_to_empty_matrix(flavor):
+    dims = HeadDims(4, 4, 4)
+    params = init_params(dims, seed=0)
+    r_rows, m_rows, t_rows = _toy_batch(dims, 3, 5, seed=0)
+    assert pairwise_scores(r_rows[:0], m_rows[:0], t_rows, params, flavor).shape == (0, 5)
+    assert pairwise_scores(r_rows, m_rows, t_rows[:0], params, flavor).shape == (3, 0)
+    r_rows[1, 0] = m_rows[1, 0] = np.nan
+    with pytest.raises(NearZeroNorm, match="nan"):
+        pairwise_scores(r_rows, m_rows, t_rows[:0], params, flavor)
+
+
 # -- flattening -------------------------------------------------------------------
 
 def test_param_vector_round_trip():
