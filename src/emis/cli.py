@@ -22,8 +22,8 @@ from .harness import (RUN_KEY_TYPES, BenchConfig, RunConfig, ablation_table,
                       bench_latency, gradient_check_suite, load_dataset,
                       make_run_config, read_config_file, require_settings,
                       resolve_dims, run_ablation, write_synthetic)
-from .head import (HeadDims, head_mac_count, head_param_count, init_params,
-                   load_checkpoint, save_checkpoint)
+from .head import (HeadDims, head_mac_count, load_checkpoint, param_count,
+                   save_checkpoint)
 from .training import train, write_epoch_logs
 
 _CONFIG_KEY_DOC = """\
@@ -258,7 +258,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         params = load_checkpoint(args.checkpoint)
         if params.dims != dims:
             raise ConfigError(f"checkpoint dims {params.dims} do not match --dim {args.dim}")
-    print(f"head parameters: {head_param_count(params or init_params(dims)):,}")
+    print(f"head parameters: {param_count(dims):,}")
     print(f"head MACs per triplet: {head_mac_count(dims):,}")
     print()
     report = bench_latency(bench, params=params)

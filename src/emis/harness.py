@@ -22,8 +22,8 @@ from .data import (Corpus, SynthSpec, TripletSet, generate_synthetic,
 from .errors import ConfigError
 from .evaluation import (MetricReport, evaluate, queries_from_triplets,
                          round_half_up)
-from .head import (Flavor, HeadDims, HeadParams, block_shapes, encode_queries,
-                   init_params, pairwise_scores, prepare_gallery,
+from .head import (Flavor, HeadDims, HeadParams, encode_queries, init_params,
+                   pairwise_scores, param_count, prepare_gallery,
                    scores_from_state, vector_to_params)
 from .numerics import finite_diff_check
 from .training import TrainConfig, bbc_loss_from_scores, train
@@ -412,11 +412,6 @@ class GradCheckSummary:
         return "\n".join(lines)
 
 
-def _param_vector_size(dims: HeadDims) -> int:
-    return sum(int(np.prod(shape)) if shape else 1
-               for shape in block_shapes(dims).values())
-
-
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> Array:
     rows = rng.standard_normal((n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -426,7 +421,7 @@ def _run_grad_instance(kind: str, seed: int, dims: HeadDims, batch: int,
                        tol: float, n_coords: int | None,
                        h: float = 1e-4) -> GradCheckInstance:
     rng = np.random.default_rng(seed)
-    v0 = rng.normal(0.0, 0.5, size=_param_vector_size(dims))
+    v0 = rng.normal(0.0, 0.5, size=param_count(dims))
     v0[-1] = rng.uniform(1.0, 5.0)  # temperature: keep FD probes positive
 
     what, _, flavor_name = kind.partition("_")

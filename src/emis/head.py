@@ -13,11 +13,14 @@ accepts either plain float64 arrays (fast evaluation path) or tape
 function are literally the same code. It composes three phases (query
 encoding, gallery preparation, scoring) that the latency benchmark
 times individually.
+
+Plain-array parameter blocks are views into one float64 vector.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -86,7 +89,7 @@ class HeadParams:
     attn_em: AttentionParams
     proj_w: object  # (h_t, h_i)
     proj_b: object  # (h_i,)
-    gamma: object   # scalar, kept > 0 by the optimizer
+    gamma: object   # 0-d, kept > 0 by the optimizer
     dims: HeadDims
 
 
@@ -144,27 +147,23 @@ def init_params(dims: HeadDims = HeadDims(), seed: int = 0) -> HeadParams:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-    def branch() -> AttentionParams:
-        return AttentionParams(
-            w1=glorot(dims.h_t, dims.h_hidden),
-            b1=np.zeros(dims.h_hidden),
-            w2=glorot(dims.h_hidden, dims.h_i),
-            b2=np.zeros(dims.h_i),
-        )
+    params = vector_to_params(np.zeros(param_count(dims)), dims)
+    for branch in (params.attn_is, params.attn_em):
+        branch.w1[...] = glorot(dims.h_t, dims.h_hidden)
+        branch.w2[...] = glorot(dims.h_hidden, dims.h_i)
+    params.proj_w[...] = glorot(dims.h_t, dims.h_i)
+    params.gamma[...] = GAMMA_INIT
+    return params
 
-    return HeadParams(
-        attn_is=branch(),
-        attn_em=branch(),
-        proj_w=glorot(dims.h_t, dims.h_i),
-        proj_b=np.zeros(dims.h_i),
-        gamma=np.float64(GAMMA_INIT),
-        dims=dims,
-    )
+
+def param_count(dims: HeadDims) -> int:
+    """Length of the flat parameter vector, temperature included."""
+    return sum(math.prod(shape) for shape in block_shapes(dims).values())
 
 
 def head_param_count(params: HeadParams) -> int:
     """Exact number of trainable scalars, temperature included."""
-    return sum(int(np.asarray(value_of(v)).size) for _, v in param_blocks(params))
+    return param_count(params.dims)
 
 
 def head_mac_count(dims: HeadDims) -> int:
@@ -343,27 +342,27 @@ def _normalize_rows(x: Array) -> Array:
     return x / norms
 
 
-# -- flattening (gradient checks, optimizer-independent utilities) -------------
+# -- the flat layout -------------------------------------------------------------
 
 def params_to_vector(params: HeadParams) -> Array:
-    parts = [np.asarray(value_of(v), dtype=np.float64).ravel()
-             for _, v in param_blocks(params)]
-    return np.concatenate(parts)
+    return np.concatenate([np.ravel(value_of(v)) for _, v in param_blocks(params)],
+                          dtype=np.float64)
 
 
 def vector_to_params(vec, dims: HeadDims) -> HeadParams:
     """Rebuild HeadParams from a flat vector (ndarray or tape Var).
 
+    An ndarray input's blocks are views into it (made contiguous float64).
     With a Var input every block is a differentiable slice, so a single
     flat leaf can drive a full-model finite-difference check.
     """
     shapes = block_shapes(dims)
     is_var = isinstance(vec, Var)
     if not is_var:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ShapeMismatch(f"expected a flat vector, got shape {vec.shape}")
-    total = sum(math.prod(s) for s in shapes.values())
+        if np.ndim(vec) != 1:
+            raise ShapeMismatch(f"expected a flat vector, got shape {np.shape(vec)}")
+        vec = np.ascontiguousarray(vec, dtype=np.float64)
+    total = param_count(dims)
     size = vec.value.size if is_var else vec.size
     if size != total:
         raise ShapeMismatch(f"vector has {size} entries, parameters need {total}")
@@ -391,10 +390,8 @@ def gradients_of(lifted: HeadParams, tape: Tape) -> HeadParams:
 
 
 def copy_params(params: HeadParams) -> HeadParams:
-    blocks = {name: np.array(value_of(v), dtype=np.float64, copy=True)
-              for name, v in param_blocks(params)}
-    blocks["gamma"] = np.float64(blocks["gamma"])
-    return params_from_blocks(blocks, params.dims)
+    """An independent copy whose blocks view one fresh flat vector."""
+    return vector_to_params(params_to_vector(params), params.dims)
 
 
 # -- checkpoint file format ----------------------------------------------------
@@ -416,38 +413,38 @@ def save_checkpoint(params: HeadParams, path) -> None:
 
 
 def load_checkpoint(path) -> HeadParams:
+    """Read an AHP1 file straight into one flat parameter vector."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 20:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes is shorter than any header")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: expected magic {CHECKPOINT_MAGIC!r}, got {raw[:4]!r}")
-    version, h_t, h_i, h_hidden = struct.unpack_from("<IIII", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise BadMagic(f"{path}: unsupported checkpoint version {version}")
-    if min(h_t, h_i, h_hidden) < 1:
-        raise BadMagic(f"{path}: header dims {h_t}, {h_i}, {h_hidden} must be positive")
-    dims = HeadDims(h_t, h_i, h_hidden)
-    shapes = block_shapes(dims)
-    blocks: dict[str, object] = {}
-    offset = 20
-    for name in BLOCK_NAMES:
-        if offset + 4 > len(raw):
-            raise TruncatedFile(f"{path}: missing length prefix for block {name}")
-        (count,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        shape = shapes[name]
-        expected = math.prod(shape)
-        if count != expected:
-            raise TruncatedFile(f"{path}: block {name} has {count} values, expected {expected}")
-        end = offset + 8 * count
-        if end > len(raw):
-            raise TruncatedFile(f"{path}: block {name} payload is truncated")
-        values = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64)
-        if not np.isfinite(values).all():
-            raise NonFiniteData(f"{path}: block {name} holds non-finite values")
-        blocks[name] = np.float64(values[0]) if shape == () else values.reshape(shape)
-        offset = end
-    if offset != len(raw):
-        raise TruncatedFile(f"{path}: {len(raw) - offset} trailing bytes after last block")
-    return params_from_blocks(blocks, dims)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(20)
+        if len(header) < 20:
+            raise TruncatedFile(f"{path}: {len(header)} bytes is shorter than any header")
+        if header[:4] != CHECKPOINT_MAGIC:
+            raise BadMagic(f"{path}: expected magic {CHECKPOINT_MAGIC!r}, got {header[:4]!r}")
+        version, h_t, h_i, h_hidden = struct.unpack_from("<IIII", header, 4)
+        if version != CHECKPOINT_VERSION:
+            raise BadMagic(f"{path}: unsupported checkpoint version {version}")
+        if min(h_t, h_i, h_hidden) < 1:
+            raise BadMagic(f"{path}: header dims {h_t}, {h_i}, {h_hidden} must be positive")
+        dims = HeadDims(h_t, h_i, h_hidden)
+        shapes = block_shapes(dims)
+        # Checked before allocating, so corrupt header dims cannot ask for a huge buffer.
+        total = param_count(dims)
+        needed = 20 + 4 * len(shapes) + 8 * total
+        if size != needed:
+            raise TruncatedFile(f"{path}: {size} bytes, but header dims {h_t}, {h_i}, "
+                                f"{h_hidden} need {needed}")
+        flat = np.empty(total, dtype="<f8")
+        offset = 0
+        for name in BLOCK_NAMES:
+            (count,) = struct.unpack("<I", fh.read(4))
+            expected = math.prod(shapes[name])
+            if count != expected:
+                raise TruncatedFile(f"{path}: block {name} has {count} values, expected {expected}")
+            block = flat[offset:offset + count]
+            if fh.readinto(block) != block.nbytes:
+                raise TruncatedFile(f"{path}: block {name} payload is truncated")
+            if not np.isfinite(block).all():
+                raise NonFiniteData(f"{path}: block {name} holds non-finite values")
+            offset += count
+    return vector_to_params(flat, dims)

@@ -4,12 +4,14 @@ The loss treats each query's own target as the positive class among
 all targets in the minibatch and applies a learnable temperature to
 the score matrix before the softmax. Optimization is AdamW with
 decoupled weight decay (the temperature is exempt from decay and
-clamped positive). Everything is deterministic given the config seed.
+clamped positive), updating the head's flat parameter vector in fixed
+chunks. Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,7 +24,7 @@ from .errors import (ConfigError, EmptySplit, LengthMismatch, NonFiniteGradient,
                      ShapeMismatch)
 from .head import (Flavor, HeadDims, HeadParams, GAMMA_MIN, copy_params,
                    gradients_of, init_params, lift_params, pairwise_scores,
-                   param_blocks, params_from_blocks)
+                   param_blocks, param_count, vector_to_params)
 
 Array = np.ndarray
 
@@ -47,8 +49,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2: the loss needs in-batch negatives")
-        if self.lr0 <= 0:
-            raise ConfigError("lr0 must be positive")
+        # Written so that NaN fails every range.
+        for key, ok, want in (
+                ("lr0", 0 < self.lr0 < math.inf, "a positive finite number"),
+                ("lr_decay", 0 < self.lr_decay < math.inf, "a positive finite number"),
+                ("weight_decay", 0 <= self.weight_decay < math.inf,
+                 "a non-negative finite number"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps", 0 < self.eps < math.inf, "a positive finite number")):
+            if not ok:
+                raise ConfigError(f"{key} must be {want}, got {getattr(self, key)!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.decay_every < 1:
@@ -107,53 +118,66 @@ def bbc_loss(r_rows: Array, m_rows: Array, t_rows: Array,
     return float(loss.value), gradients_of(live, tape)
 
 
+# Elements per pass of the AdamW loop: long enough to amortize the ufunc
+# calls, short enough that a chunk's operands stay in cache.
+ADAMW_CHUNK = 16384
+
+
 @dataclass
 class AdamWState:
-    """First/second moment estimates per parameter block."""
+    """Flat first/second moments in ``BLOCK_NAMES`` order, advanced in place."""
 
     step: int
-    m: dict[str, Array]
-    v: dict[str, Array]
+    m: Array
+    v: Array
 
     @classmethod
     def fresh(cls, params: HeadParams) -> "AdamWState":
-        zeros = {name: np.zeros_like(np.asarray(value_of(v), dtype=np.float64))
-                 for name, v in param_blocks(params)}
-        return cls(step=0,
-                   m={k: z.copy() for k, z in zeros.items()},
-                   v={k: z.copy() for k, z in zeros.items()})
+        n = param_count(params.dims)
+        return cls(step=0, m=np.zeros(n), v=np.zeros(n))
 
 
 def adamw_step(params: HeadParams, grads: HeadParams, state: AdamWState,
                lr: float, config: TrainConfig) -> tuple[HeadParams, AdamWState]:
-    """One decoupled-weight-decay Adam update; returns fresh params/state.
+    """One decoupled-weight-decay Adam update, bit-identical to whole-block math.
 
-    The temperature block is excluded from decay and clamped to stay
+    Returns new params in one fresh flat vector and ``state``, advanced in
+    place; ``params`` is not modified, and a non-finite gradient raises
+    before anything is written. The temperature is not decayed and stays
     >= 1e-3 so the loss softmax can never collapse or flip sign.
     """
-    step = state.step + 1
-    bias1 = 1.0 - config.beta1 ** step
-    bias2 = 1.0 - config.beta2 ** step
-    new_blocks: dict[str, object] = {}
-    new_m: dict[str, Array] = {}
-    new_v: dict[str, Array] = {}
-    for (name, payload), (_, grad) in zip(param_blocks(params), param_blocks(grads)):
-        w = np.asarray(value_of(payload), dtype=np.float64)
-        g = np.asarray(value_of(grad), dtype=np.float64)
-        if not np.all(np.isfinite(g)):
+    for name, g in param_blocks(grads):
+        if not np.isfinite(g).all():
             raise NonFiniteGradient(f"gradient for {name} is not finite")
-        m = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        v = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
-        update = lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
-        if name == "gamma":
-            w_new = np.maximum(w - update, GAMMA_MIN)
-            new_blocks[name] = np.float64(w_new)
-        else:
-            w_new = w - update - lr * config.weight_decay * w
-            new_blocks[name] = w_new
-        new_m[name], new_v[name] = m, v
-    return (params_from_blocks(new_blocks, params.dims),
-            AdamWState(step=step, m=new_m, v=new_v))
+    b1, b2, eps, step = config.beta1, config.beta2, config.eps, state.step + 1
+    bias1, bias2, decay = 1.0 - b1 ** step, 1.0 - b2 ** step, lr * config.weight_decay
+    out = np.empty_like(state.m)
+    scratch = np.empty((2, ADAMW_CHUNK))
+    lo = 0
+    for (_, w), (_, g) in zip(param_blocks(params)[:-1], param_blocks(grads)[:-1]):
+        w, g = np.ravel(w), np.ravel(g)
+        for start in range(0, g.size, ADAMW_CHUNK):
+            wc, gc = w[start:start + ADAMW_CHUNK], g[start:start + ADAMW_CHUNK]
+            hi = lo + gc.size
+            m, v, o = state.m[lo:hi], state.v[lo:hi], out[lo:hi]
+            a, b = scratch[:, :gc.size]
+            np.multiply(m, b1, out=m)                    # m = b1*m + (1-b1)*g
+            np.add(m, np.multiply(gc, 1.0 - b1, out=a), out=m)
+            np.multiply(v, b2, out=v)                    # v = b2*v + (1-b2)*(g*g)
+            np.add(v, np.multiply(np.multiply(gc, gc, out=a), 1.0 - b2, out=a), out=v)
+            np.multiply(np.divide(m, bias1, out=a), lr, out=a)   # lr*(m/bias1)
+            np.sqrt(np.divide(v, bias2, out=b), out=b)
+            np.divide(a, np.add(b, eps, out=b), out=a)   # ... / (sqrt(v/bias2)+eps)
+            np.subtract(wc, a, out=o)                    # (w - upd) - (lr*wd)*w
+            np.subtract(o, np.multiply(wc, decay, out=a), out=o)
+            lo = hi
+    g = float(grads.gamma)
+    m = b1 * float(state.m[-1]) + (1.0 - b1) * g
+    v = b2 * float(state.v[-1]) + (1.0 - b2) * (g * g)
+    update = lr * (m / bias1) / (math.sqrt(v / bias2) + eps)
+    out[-1] = max(float(params.gamma) - update, GAMMA_MIN)
+    state.step, state.m[-1], state.v[-1] = step, m, v
+    return vector_to_params(out, params.dims), state
 
 
 def lr_at_epoch(epoch: int, config: TrainConfig) -> float:

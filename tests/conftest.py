@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emis.data import SynthSpec, generate_synthetic
-from emis.head import HeadDims, HeadParams, init_params
+from emis.head import HeadDims, HeadParams, head_param_count, init_params, param_blocks
 
 from scalar_oracle import OracleHead
 
@@ -26,6 +26,20 @@ def oracle_from_params(params: HeadParams) -> OracleHead:
 
 def random_params(dims: HeadDims, seed: int) -> HeadParams:
     return init_params(dims, seed=seed)
+
+
+def assert_one_flat_buffer(params: HeadParams) -> None:
+    """Every block is a C-contiguous view, laid end to end in block order."""
+    blocks = [b for _, b in param_blocks(params)]
+    start = blocks[0].__array_interface__["data"][0]
+    offset = 0
+    for block in blocks:
+        assert isinstance(block, np.ndarray) and block.dtype == np.float64
+        assert block.flags.c_contiguous and block.base is not None
+        assert block.__array_interface__["data"][0] == start + 8 * offset
+        offset += block.size
+    assert offset == head_param_count(params)
+    assert all(b.base is blocks[0].base for b in blocks)
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -107,6 +108,20 @@ def test_flags_override_config_file(dataset, tmp_path, capsys):
                            "--checkpoint", str(tmp_path / "h.ahp"))
     assert code == 0
     assert "trained em_only for 1 epochs" in out
+
+
+@pytest.mark.parametrize("key, value", [("lr0", "nan"), ("lr0", "inf"),
+                                        ("weight_decay", "nan"), ("lr_decay", "-1")])
+def test_bad_optimizer_settings_are_config_errors(dataset, tmp_path, capsys, key, value):
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=2, batch_size=16,
+                      **{key: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "train", "--config", cfg,
+                               "--checkpoint", str(tmp_path / "h.ahp"))
+    assert code == 2
+    assert err.startswith(f"config error: {key} must be")
+    assert not (tmp_path / "h.ahp").exists()
 
 
 def test_eval_dump_lines(dataset, tmp_path, capsys):

@@ -28,7 +28,7 @@ from emis.head import (
     vector_to_params,
 )
 
-from conftest import corruptions, oracle_from_params, unit_rows
+from conftest import assert_one_flat_buffer, corruptions, oracle_from_params, unit_rows
 
 FLAVORS = list(Flavor)
 
@@ -302,8 +302,28 @@ def test_vector_to_params_rejects_wrong_size():
 def test_copy_params_is_independent():
     params = init_params(HeadDims(4, 4, 4), seed=0)
     clone = copy_params(params)
+    assert_one_flat_buffer(clone)
+    assert not np.shares_memory(clone.attn_is.w1.base, params.attn_is.w1.base)
     clone.attn_is.w1[0, 0] += 1.0
+    clone.gamma[...] = 3.0
     assert params.attn_is.w1[0, 0] != clone.attn_is.w1[0, 0]
+    assert float(params.gamma) == 10.0
+
+
+def test_params_builders_share_one_flat_buffer(tmp_path):
+    dims = HeadDims(5, 4, 3)
+    params = init_params(dims, seed=2)
+    save_checkpoint(params, tmp_path / "head.ahp")
+    vec = params_to_vector(params)
+    built = {"init_params": params, "load_checkpoint": load_checkpoint(tmp_path / "head.ahp"),
+             "vector_to_params": vector_to_params(vec, dims),
+             "copy_params": copy_params(params)}
+    for how, got in built.items():
+        assert_one_flat_buffer(got)
+        assert np.array_equal(params_to_vector(got), vec), how
+    # An ndarray input is viewed, not copied: the blocks are that vector.
+    built["vector_to_params"].gamma[...] = 7.0
+    assert vec[-1] == 7.0
 
 
 # -- checkpoint format --------------------------------------------------------------

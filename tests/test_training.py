@@ -14,10 +14,13 @@ from emis.errors import (
     ShapeMismatch,
 )
 from emis.head import (
+    BLOCK_NAMES,
     Flavor,
     HeadDims,
+    head_param_count,
     init_params,
     pairwise_scores,
+    param_blocks,
     params_to_vector,
     vector_to_params,
 )
@@ -37,7 +40,8 @@ from emis.training import (
 )
 
 import scalar_oracle
-from conftest import unit_rows
+from adamw_oracle import OracleAdamW
+from conftest import assert_one_flat_buffer, unit_rows
 
 GAMMA_MIN = 1e-3
 
@@ -196,14 +200,76 @@ def test_adamw_zero_gradient_only_decays_weights():
 
 
 def test_adamw_rejects_non_finite_gradient():
-    dims = HeadDims(2, 2, 2)
+    dims = HeadDims(2, 3, 2)
     config = TrainConfig(batch_size=2)
+    rng = np.random.default_rng(4)
     params = init_params(dims, seed=1)
-    gvec = np.zeros(params_to_vector(params).size)
-    gvec[0] = np.nan
-    with pytest.raises(NonFiniteGradient):
-        adamw_step(params, vector_to_params(gvec, dims),
-                   AdamWState.fresh(params), 1e-3, config)
+    state = AdamWState.fresh(params)
+    for _ in range(2):
+        grads = vector_to_params(rng.standard_normal(head_param_count(params)), dims)
+        params, state = adamw_step(params, grads, state, 1e-3, config)
+    before = (params_to_vector(params), state.m.copy(), state.v.copy(), state.step)
+    for block, bad in (("attn_is.w1", np.nan), ("attn_em.b2", np.nan), ("gamma", np.inf)):
+        grads = vector_to_params(np.ones(head_param_count(params)), dims)
+        dict(param_blocks(grads))[block].flat[-1] = bad
+        with pytest.raises(NonFiniteGradient, match=f"gradient for {block} "):
+            adamw_step(params, grads, state, 1e-3, config)
+        assert np.array_equal(params_to_vector(params), before[0])
+        assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+        assert state.step == before[3]
+
+
+def _blocks(params):
+    return {name: np.array(b) for name, b in param_blocks(params)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.builds(HeadDims, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+       weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+       n_steps=st.integers(5, 8), data=st.data())
+def test_adamw_matches_per_block_oracle(dims, weight_decay, n_steps, data):
+    config = TrainConfig(batch_size=2, weight_decay=weight_decay)
+    seed = data.draw(st.integers(0, 2 ** 31 - 1), label="seed")
+    clamp_at = data.draw(st.integers(1, n_steps - 1), label="clamp_at")
+    zero_at = data.draw(st.integers(0, n_steps - 1), label="zero_at")
+    rng = np.random.default_rng(seed)
+    params = init_params(dims, seed=seed)
+    state = AdamWState.fresh(params)
+    oracle = OracleAdamW(_blocks(params), config.beta1, config.beta2, config.eps,
+                         weight_decay)
+    expected = _blocks(params)
+    for step in range(n_steps):
+        gvec = rng.standard_normal(head_param_count(params)) * rng.choice([1e-3, 1.0, 30.0])
+        lr = float(rng.choice([1e-4, 5e-4, 1e-2]))
+        if step == zero_at:
+            gvec[:] = 0.0
+        if step == clamp_at:     # a large push on gamma drives it under the floor
+            gvec[-1], lr = 1e3, 100.0
+        grads = vector_to_params(gvec, dims)
+        expected = oracle.step(expected, _blocks(grads), lr)
+        params, state = adamw_step(params, grads, state, lr, config)
+        if step == clamp_at:
+            assert float(expected["gamma"]) == GAMMA_MIN
+        assert state.step == step + 1
+        for got, want in ((params_to_vector(params), expected),
+                          (state.m, oracle.m), (state.v, oracle.v)):
+            assert np.array_equal(got, np.concatenate(
+                [np.ravel(want[name]) for name in BLOCK_NAMES]))
+
+
+def test_adamw_returns_fresh_flat_params_and_advances_state_in_place():
+    dims = HeadDims(3, 4, 2)
+    params = init_params(dims, seed=3)
+    before = params_to_vector(params)
+    state = AdamWState.fresh(params)
+    m, v = state.m, state.v
+    grads = vector_to_params(np.full(head_param_count(params), 0.5), dims)
+    new_params, new_state = adamw_step(params, grads, state, 1e-2, TrainConfig(batch_size=2))
+    assert_one_flat_buffer(new_params)
+    assert not np.shares_memory(new_params.attn_is.w1.base, params.attn_is.w1.base)
+    assert np.array_equal(params_to_vector(params), before)
+    assert new_state is state and state.m is m and state.v is v
+    assert state.step == 1 and np.all(m == (1.0 - 0.9) * 0.5)
 
 
 def test_lr_schedule_halves_every_ten_epochs():
@@ -247,6 +313,15 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(flavor="bogus")
+    nan, inf = math.nan, math.inf
+    for key, bad in (("lr0", nan), ("lr0", inf), ("lr0", -1e-3),
+                     ("lr_decay", 0.0), ("lr_decay", -1.0), ("lr_decay", nan),
+                     ("weight_decay", -0.01), ("weight_decay", nan), ("weight_decay", inf),
+                     ("beta1", 1.0), ("beta1", -0.1), ("beta1", nan), ("beta2", 1.5),
+                     ("eps", 0.0), ("eps", -1e-8), ("eps", nan), ("eps", inf)):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: bad})
+    TrainConfig(weight_decay=0.0, beta1=0.0, beta2=0.0, lr_decay=2.0)
     assert TrainConfig(flavor="em_only").flavor is Flavor.EM_ONLY
 
 
