@@ -1,10 +1,11 @@
 """Feature banks, triplet files, and the synthetic benchmark generator.
 
 Banks are little-endian binary matrices of float32 rows with a JSONL
-id sidecar; reads return exactly what was written (normalization is a
-separate, explicit step in the math pipeline). Triplets are JSONL
-records {ref, mod, tgt, split} with an optional subsets sidecar for
-candidate-restricted recall.
+id sidecar; reads return exactly what was written. ``matrix64``
+normalizes the query-side banks (references and modifiers); gallery
+rows go raw to ``head.prepare_gallery``, their one normalizer.
+Triplets are JSONL records {ref, mod, tgt, split} with an optional
+subsets sidecar for candidate-restricted recall.
 
 The synthetic generator builds an attribute-flip world where the two
 score channels are separable: items are +-1 attribute vectors embedded
@@ -24,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (BadMagic, BadSplit, DataError, DuplicateId, MissingSubset,
-                     NonFiniteData, ShapeMismatch, SpecInvalid, TruncatedFile,
-                     UnknownId)
+from .errors import (BadMagic, BadSplit, ConfigError, DataError, DuplicateId,
+                     MissingSubset, NonFiniteData, ShapeMismatch, SpecInvalid,
+                     TruncatedFile, UnknownId)
 from .numerics import NORM_EPS
 
 Array = np.ndarray
@@ -76,7 +77,11 @@ class FeatureBank:
             raise UnknownId(f"id {gid!r} not in bank") from None
 
     def matrix64(self) -> Array:
-        """Float64 rows, L2-normalized; rows with norm <= 1e-12 pass through."""
+        """Float64 rows, L2-normalized; rows with norm <= 1e-12 pass through.
+
+        The query-side normalizer (references and modifiers); gallery rows
+        are normalized by ``head.prepare_gallery`` instead.
+        """
         if self._mat64 is None:
             wide = self.data.astype(np.float64)
             norms = np.linalg.norm(wide, axis=1, keepdims=True)
@@ -183,9 +188,11 @@ class TripletSet:
     subsets: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     def split(self, name: str) -> list[TripletRecord]:
-        return [r for r in self.records if r.split == name]
+        return [r for _, r in self.split_with_indices(name)]
 
     def split_with_indices(self, name: str) -> list[tuple[int, TripletRecord]]:
+        if name not in SPLITS:
+            raise ConfigError(f"unknown split {name!r}; expected one of {SPLITS}")
         return [(i, r) for i, r in enumerate(self.records) if r.split == name]
 
 

@@ -2,17 +2,18 @@
 
 Candidates are ordered by descending score with ascending-id
 tie-breaks, so results are deterministic. The streaming evaluator
-prepares the gallery once per call and scores the queries block by
-block against it. A query's rank is one plus the number of candidates
-ahead of its first ground truth (scoring higher, or tied with a lower
-id), counted block-wide; subset ranks count over the members only. The
-sort this equals lives in ``tests/rank_oracle.py`` as the ranker's oracle.
-The top-k dump uses exact partial selection: a partition finds the
-k-th best kept score, and only the candidates at or above it (every
-tie at the boundary included) are sorted, with the same tie-break. A
-NaN score is an error, never a rank; +-inf scores rank like any other
-value. Reports round to two decimals (half-up) only at emission;
-internal math keeps full precision.
+prepares the gallery once per call, from the target bank's raw rows,
+and scores the queries block by block against it. A query's rank is
+one plus the number of candidates ahead of its first ground truth
+(scoring higher, or tied with a lower id), counted block-wide; subset
+ranks count over the members only. The sort this equals lives in
+``tests/rank_oracle.py`` as the ranker's oracle. The top-k dump uses
+exact partial selection: a partition finds the k-th best kept score,
+and only the candidates at or above it (every tie at the boundary
+included) are sorted, with the same tie-break. A NaN score is an
+error, never a rank; +-inf scores rank like any other value. Reports
+round to two decimals (half-up) only at emission; internal math keeps
+full precision.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 
 from . import head
 from .errors import (ConfigError, EmptyInput, MissingCell, MissingSubset,
-                     NonFiniteGradient, ShapeMismatch, UnknownId)
+                     NearZeroNorm, NonFiniteGradient, ShapeMismatch, UnknownId)
 from .head import Flavor, HeadParams, pairwise_scores
+from .numerics import NORM_EPS
 
 Array = np.ndarray
 
@@ -220,7 +222,14 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
     n_gallery = len(gallery_ids)
     index = {gid: i for i, gid in enumerate(gallery_ids)}
     id_rank = _id_rank_of(gallery_ids)
-    gallery = head.prepare_gallery(corpus.targets.matrix64(), params.dims, flavor)
+    try:
+        gallery = head.prepare_gallery(corpus.targets.data, params.dims, flavor)
+    except NearZeroNorm:
+        # The row is looked up only here, so a good gallery pays nothing extra.
+        norms = np.linalg.norm(corpus.targets.data.astype(np.float64), axis=1)
+        bad = int(np.argmin(norms > NORM_EPS))
+        raise NearZeroNorm(f"targets bank row {bad} (id {gallery_ids[bad]!r}) "
+                           f"has norm {float(norms[bad])!r}") from None
     # Query rows are gathered per block; copying every query's rows up
     # front would add two queries x dims arrays to peak memory.
     refs, mods = corpus.refs.matrix64(), corpus.mods.matrix64()

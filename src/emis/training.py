@@ -245,7 +245,7 @@ def train(triplets, corpus, config: TrainConfig,
 
     r_all = corpus.refs.rows64([rec.ref for rec in train_records])
     m_all = corpus.mods.rows64([rec.mod for rec in train_records])
-    t_all = corpus.targets.rows64([rec.tgt for rec in train_records])
+    t_all = corpus.targets.data[[corpus.targets.row_of(rec.tgt) for rec in train_records]]
 
     if dims is None:
         dims = HeadDims(h_t=corpus.mods.dim, h_i=corpus.targets.dim,

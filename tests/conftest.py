@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from emis.data import SynthSpec, generate_synthetic
+from emis.data import FeatureBank, SynthSpec, generate_synthetic
 from emis.head import HeadDims, HeadParams, head_param_count, init_params, param_blocks
 
 from scalar_oracle import OracleHead
@@ -40,6 +40,19 @@ def assert_one_flat_buffer(params: HeadParams) -> None:
         offset += block.size
     assert offset == head_param_count(params)
     assert all(b.base is blocks[0].base for b in blocks)
+
+
+def refuse_target_normalization(monkeypatch, corpus) -> None:
+    """Make ``FeatureBank.matrix64`` fail for ``corpus.targets``: gallery
+    rows are meant to reach ``prepare_gallery`` raw and be normalized there."""
+    original = FeatureBank.matrix64
+
+    def matrix64(bank):
+        if bank is corpus.targets:
+            raise AssertionError("the targets bank was normalized by matrix64")
+        return original(bank)
+
+    monkeypatch.setattr(FeatureBank, "matrix64", matrix64)
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

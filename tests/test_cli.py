@@ -269,6 +269,39 @@ def test_non_utf8_input_file_exits_with_its_code(dataset, tmp_path, capsys, whic
     assert "Traceback" not in err
 
 
+def test_zero_norm_target_row_is_named(dataset, tmp_path, capsys):
+    raw = bytearray((dataset / "targets.afb").read_bytes())
+    dim = struct.unpack_from("<I", raw, 12)[0]
+    raw[16 + 4 * 7 * dim:16 + 4 * 8 * dim] = bytes(4 * dim)
+    targets = tmp_path / "targets.afb"
+    targets.write_bytes(bytes(raw))
+    ids_sidecar(targets).write_text(ids_sidecar(dataset / "targets.afb").read_text())
+    cfg = config_file(tmp_path / "run.cfg", dataset)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(dim, dim, dim), seed=0), ckpt)
+    code, out, err = run_cli(capsys, "eval", "--config", cfg, "--targets", str(targets),
+                             "--checkpoint", str(ckpt))
+    assert code == 3
+    assert "targets bank row 7 (id 't00007') has norm 0.0" in err
+    assert "r_at_1" not in out
+
+
+def test_unknown_split_names_are_config_errors(dataset, tmp_path, capsys):
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
+    ckpt = tmp_path / "h.ahp"
+    code, _, err = run_cli(capsys, "train", "--config", cfg, "--monitor", "vall",
+                           "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "'vall'" in err
+    assert not ckpt.exists()
+    save_checkpoint(init_params(HeadDims(64, 64, 64), seed=0), ckpt)
+    code, out, err = run_cli(capsys, "eval", "--config", cfg, "--split", "vall",
+                             "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "'vall'" in err
+    assert "r_at_1" not in out
+
+
 def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):
     cfg = config_file(tmp_path / "run.cfg", dataset)
     fake = tmp_path / "fake.ahp"

@@ -32,7 +32,7 @@ from emis.evaluation import (
 )
 from emis.head import Flavor, HeadDims, init_params, pairwise_scores
 
-from conftest import unit_rows
+from conftest import refuse_target_normalization, unit_rows
 from rank_oracle import RankResult, rank_targets
 
 
@@ -65,10 +65,11 @@ def simple_queries(corpus: Corpus, rng: np.random.Generator,
 
 
 def full_scores(queries, corpus: Corpus, params, flavor: Flavor) -> np.ndarray:
-    """The whole queries x gallery matrix from one pairwise_scores call."""
+    """The whole queries x gallery matrix from one pairwise_scores call,
+    fed the raw target rows as the evaluator feeds them."""
     return pairwise_scores(corpus.refs.rows64([q.ref_id for q in queries]),
                            corpus.mods.rows64([q.mod_id for q in queries]),
-                           corpus.targets.matrix64(), params, flavor)
+                           corpus.targets.data, params, flavor)
 
 
 # -- rounding ---------------------------------------------------------------------
@@ -303,9 +304,26 @@ def test_evaluate_dump_lines(tmp_path):
         assert len(obj["top"]) == 4
         expected = rank_targets(matrix[i], queries[i], corpus.targets.ids)
         assert [e["id"] for e in obj["top"]] == expected.ordering[:4]
+        assert [e["score"] for e in obj["top"]] == [
+            matrix[i, corpus.targets.row_of(e["id"])] for e in obj["top"]]
         assert obj["rank"] == expected.rank
     assert report.metrics["r_at_1"] == recall_at_k(
         [o["rank"] for o in lines], 1)
+
+
+def test_evaluate_normalizes_gallery_rows_only_in_prepare_gallery(tmp_path, monkeypatch):
+    corpus = make_corpus(6, 15, 6, seed=7)
+    queries = simple_queries(corpus, np.random.default_rng(7))
+    params = init_params(HeadDims(6, 6, 6), seed=3)
+    expected = evaluate(queries, corpus, params, Flavor.ARTEMIS,
+                        dump_path=tmp_path / "a.jsonl")
+    refuse_target_normalization(monkeypatch, corpus)
+    with pytest.raises(AssertionError):
+        corpus.targets.matrix64()
+    report = evaluate(queries, corpus, params, Flavor.ARTEMIS,
+                      dump_path=tmp_path / "b.jsonl")
+    assert report.to_json() == expected.to_json()
+    assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
 
 
 def test_evaluate_empty_queries():

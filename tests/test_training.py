@@ -41,7 +41,7 @@ from emis.training import (
 
 import scalar_oracle
 from adamw_oracle import OracleAdamW
-from conftest import assert_one_flat_buffer, unit_rows
+from conftest import assert_one_flat_buffer, refuse_target_normalization, unit_rows
 
 GAMMA_MIN = 1e-3
 
@@ -363,6 +363,25 @@ def test_train_tracks_best_checkpoint_on_monitored_split():
     assert series[epoch] == max(series)
     assert epoch == series.index(max(series))  # earlier epoch wins ties
     assert best_params.dims == result.params.dims
+
+
+def test_train_normalizes_target_rows_only_in_prepare_gallery(monkeypatch):
+    corpus, triplets = tiny_synth(seed=1, n_val=4)
+    config = TrainConfig(epochs=1, batch_size=16, seed=0)
+    expected = train(triplets, corpus, config, monitor=("val",))
+    refuse_target_normalization(monkeypatch, corpus)
+    result = train(triplets, corpus, config, monitor=("val",))
+    assert [(log.loss, log.metrics) for log in result.logs] == [
+        (log.loss, log.metrics) for log in expected.logs]
+
+
+def test_train_split_names_are_checked():
+    corpus, triplets = tiny_synth(seed=2)
+    config = TrainConfig(epochs=1, batch_size=16)
+    with pytest.raises(ConfigError, match="'vall'"):
+        train(triplets, corpus, config, monitor=("val", "vall"))
+    # A known split with no records is simply not monitored.
+    assert train(triplets, corpus, config, monitor=("val",)).best == {}
 
 
 def test_train_unknown_selection_metric_errors():
