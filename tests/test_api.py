@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import emis
 
 
@@ -5,3 +9,21 @@ def test_every_public_name_resolves():
     missing = [name for name in emis.__all__ if not hasattr(emis, name)]
     assert missing == []
     assert len(set(emis.__all__)) == len(emis.__all__)
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "emis"}
+    sources = sorted(Path(emis.__file__).parent.glob("*.py"))
+    assert sources
+    foreign = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{source.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []

@@ -170,13 +170,42 @@ def test_bank_reader_corruption_fuzz(tmp_path):
     cases = list(corruptions(raw, {"version": 4, "rows": 8, "dim": 12},
                              nan_at=len(raw) - 4, nan_format="<f"))
     assert len(cases) > len(raw)
-    for label, broken in cases:
-        path.write_bytes(broken)
+    sidecar = ids_sidecar(path)
+    text = sidecar.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    # Dropping only the final newline leaves a complete file, so every cut
+    # here loses at least one character of a record.
+    sidecar_cases = [(f"sidecar truncated to {cut} chars", text[:cut])
+                     for cut in range(len(text) - 1)]
+    for i in range(len(lines)):
+        doubled = lines[:i + 1] + lines[i:]
+        sidecar_cases.append((f"sidecar line {i + 1} doubled", "\n".join(doubled) + "\n"))
+    for i in range(len(lines) - 1):
+        joined = lines[:i] + [lines[i] + lines[i + 1]] + lines[i + 2:]
+        sidecar_cases.append((f"sidecar lines {i + 1}-{i + 2} joined",
+                              "\n".join(joined) + "\n"))
+    for label, broken in cases + sidecar_cases:
+        if isinstance(broken, str):
+            path.write_bytes(raw)
+            sidecar.write_text(broken, encoding="utf-8")
+        else:
+            path.write_bytes(broken)
         try:
             read_feature_bank(path)
         except DataError:
             continue
         pytest.fail(f"{label}: read without a DataError")
+
+
+def test_read_bank_returns_writable_contiguous_float32(tmp_path):
+    bank = FeatureBank(ids=["a", "b"], data=np.arange(6, dtype=np.float32).reshape(2, 3))
+    path = tmp_path / "bank.afb"
+    write_feature_bank(bank, path)
+    data = read_feature_bank(path).data
+    assert data.dtype == np.float32 and data.shape == (2, 3)
+    assert data.flags.writeable and data.flags.c_contiguous and data.flags.owndata
+    data[0, 0] = 7.0
+    assert read_feature_bank(path).data[0, 0] == 0.0
 
 
 def test_loaded_banks_have_unit_rows_after_normalization(tmp_path):
@@ -261,6 +290,83 @@ def test_write_triplets_round_trip(tmp_path):
     loaded = load_triplets(tri_path, subsets_path=sub_path)
     assert loaded.records == records
     assert loaded.subsets == {1: ("t2", "t1")}
+
+
+# -- JSONL line parsing ----------------------------------------------------------------
+# The id sidecar, triplets and subsets readers each take one JSON value per
+# line, as json.loads reads it. These cases pin which files are accepted
+# and the exact exception class and path:line message of a malformed line.
+
+def read_sidecar(tmp_path, text):
+    path = tmp_path / "bank.afb"
+    write_feature_bank(FeatureBank(ids=["a", "b", "c"], data=np.ones((3, 2), np.float32)),
+                       path)
+    ids_sidecar(path).write_bytes(text.encode("utf-8"))
+    return read_feature_bank(path).ids
+
+
+def read_triplets_file(tmp_path, text):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    return load_triplets(path).records
+
+
+def read_subsets_file(tmp_path, text):
+    tri_path = tmp_path / "t.jsonl"
+    write_lines(tri_path, [json.dumps({"ref": f"r{i}", "mod": f"m{i}", "tgt": f"t{i}",
+                                       "split": "test"}) for i in range(3)])
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    return load_triplets(tri_path, subsets_path=path).subsets
+
+
+# reader, the file it reads, its three good lines, a line missing a key,
+# error class, record word
+JSONL_READERS = {
+    "sidecar": (read_sidecar, "bank.afb.ids.jsonl",
+                ['{"row": 0, "id": "a"}', '{"row": 1, "id": "b"}', '{"row": 2, "id": "c"}'],
+                '{"row": 1}', TruncatedFile, "id"),
+    "triplets": (read_triplets_file, "t.jsonl",
+                 [json.dumps({"ref": f"r{i}", "mod": f"m{i}", "tgt": f"t{i}", "split": "test"})
+                  for i in range(3)],
+                 '{"ref": "r1", "mod": "m1", "tgt": "t1"}', DataError, "triplet"),
+    "subsets": (read_subsets_file, "s.jsonl",
+                [json.dumps({"query": i, "members": [f"t{i}", "t9"]}) for i in range(3)],
+                '{"query": 1}', DataError, "subset"),
+}
+
+# case: (lines from the good lines and the missing-key line, 1-based error line or None)
+JSONL_CASES = {
+    "two values, comma": (lambda g, m: [g[0], g[1] + ", " + g[2]], 2),
+    "two values, no separator": (lambda g, m: [g[0], g[1] + g[2]], 2),
+    "value over two lines": (lambda g, m: [g[0], g[1][:-1] + ', "x": [1', "2]}", g[2]], 2),
+    "surrounding whitespace": (lambda g, m: [" \t" + line + " \t" for line in g], None),
+    "trailing form feed": (lambda g, m: [g[0], g[1] + "\x0c", g[2]], 2),
+    "CRLF": (lambda g, m: [line + "\r" for line in g], None),
+    "leading BOM": (lambda g, m: ["\ufeff" + g[0]] + g[1:], 1),
+    "blank middle lines": (lambda g, m: [g[0], "", " \t", g[1], g[2]], None),
+    "blank line before an error": (lambda g, m: [g[0], "", "{", g[1], g[2]], 3),
+    "array value": (lambda g, m: [g[0], "[1, 2]", g[2]], 2),
+    "string value": (lambda g, m: [g[0], '"text"', g[2]], 2),
+    "number value": (lambda g, m: [g[0], "7", g[2]], 2),
+    "null value": (lambda g, m: [g[0], "null", g[2]], 2),
+    "missing key": (lambda g, m: [g[0], m, g[2]], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(JSONL_CASES))
+@pytest.mark.parametrize("reader", list(JSONL_READERS))
+def test_jsonl_line_parsing(tmp_path, reader, case):
+    read, name, good, missing_key, error, word = JSONL_READERS[reader]
+    edit, error_line = JSONL_CASES[case]
+    text = "".join(line + "\n" for line in edit(good, missing_key))
+    if error_line is None:
+        assert read(tmp_path, text) == read(tmp_path, "".join(line + "\n" for line in good))
+        return
+    with pytest.raises(DataError) as err:
+        read(tmp_path, text)
+    assert type(err.value) is error
+    assert str(err.value) == f"{tmp_path / name}:{error_line}: malformed {word} record"
 
 
 # -- synthetic generator -------------------------------------------------------------
