@@ -20,8 +20,8 @@ from .errors import CheckFailure, ConfigError, DataError, EmisError
 from .evaluation import aggregate_suite, evaluate, queries_from_triplets
 from .harness import (RUN_KEY_TYPES, BenchConfig, RunConfig, ablation_table,
                       bench_latency, gradient_check_suite, load_dataset,
-                      make_run_config, read_config_file, require_settings,
-                      resolve_dims, run_ablation, write_synthetic)
+                      make_run_config, read_config_file, require_input_file,
+                      require_settings, resolve_dims, run_ablation, write_synthetic)
 from .head import (HeadDims, head_mac_count, load_checkpoint, param_count,
                    save_checkpoint)
 from .training import train, write_epoch_logs
@@ -202,8 +202,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.cells:
         return _aggregate_cells(config, args.cells)
     require_settings(config, "checkpoint")
-    if not Path(config.checkpoint).exists():
-        raise ConfigError(f"checkpoint path {config.checkpoint!r} does not exist")
+    require_input_file("checkpoint", config.checkpoint)
     corpus, triplets = load_dataset(config)
     params = load_checkpoint(config.checkpoint)
     queries = queries_from_triplets(triplets, config.split, config.exclude_ref)
@@ -253,8 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     dims = HeadDims(bench.h_t, bench.h_i, bench.h_hidden)
     params = None
     if args.checkpoint:
-        if not Path(args.checkpoint).exists():
-            raise ConfigError(f"checkpoint path {args.checkpoint!r} does not exist")
+        require_input_file("checkpoint", args.checkpoint)
         params = load_checkpoint(args.checkpoint)
         if params.dims != dims:
             raise ConfigError(f"checkpoint dims {params.dims} do not match --dim {args.dim}")

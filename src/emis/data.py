@@ -5,7 +5,9 @@ id sidecar; reads return exactly what was written. ``matrix64``
 normalizes the query-side banks (references and modifiers); gallery
 rows go raw to ``head.prepare_gallery``, their one normalizer.
 Triplets are JSONL records {ref, mod, tgt, split} with an optional
-subsets sidecar for candidate-restricted recall.
+subsets sidecar for candidate-restricted recall. Every JSONL reader
+decodes one value per line, as ``json.loads`` would, and names the
+offending ``path:line`` when a line is malformed.
 
 The synthetic generator builds an attribute-flip world where the two
 score channels are separable: items are +-1 attribute vectors embedded
@@ -18,6 +20,7 @@ a distinct, measurable way.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,12 +57,13 @@ class FeatureBank:
         if not finite_rows.all():
             bad = int(np.argmin(finite_rows))
             raise ShapeMismatch(f"row {bad} (id {self.ids[bad]!r}) holds non-finite values")
-        seen: set[str] = set()
-        for i in self.ids:
-            if i in seen:
-                raise DuplicateId(f"id {i!r} appears twice")
-            seen.add(i)
         self._index: dict[str, int] = {gid: row for row, gid in enumerate(self.ids)}
+        if len(self._index) != len(self.ids):
+            seen: set[str] = set()
+            for i in self.ids:
+                if i in seen:
+                    raise DuplicateId(f"id {i!r} appears twice")
+                seen.add(i)
         self._mat64: Array | None = None
 
     @property
@@ -107,46 +111,74 @@ def write_feature_bank(bank: FeatureBank, path) -> None:
             fh.write(json.dumps({"row": row, "id": gid}) + "\n")
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _json_line(line: str):
+    """The JSON value of one line, exactly as ``json.loads(line)`` reads it.
+
+    A line that is one value, optionally followed by JSON whitespace, is
+    decoded by ``raw_decode`` alone; any other line goes to ``json.loads``,
+    so its value or its error is that function's own.
+    """
+    try:
+        value, end = _DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):
+        return json.loads(line)
+    return value
+
+
 def ids_sidecar(path) -> Path:
     return Path(str(path) + ".ids.jsonl")
 
 
 def read_feature_bank(path) -> FeatureBank:
+    """Read an AFB1 bank and its id sidecar; the payload lands in one array."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise TruncatedFile(f"{path}: no such file") from None
-    if len(raw) < 16:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes is shorter than the 16-byte header")
-    if raw[:4] != BANK_MAGIC:
-        raise BadMagic(f"{path}: expected magic {BANK_MAGIC!r}, got {raw[:4]!r}")
-    version, rows, dim = struct.unpack_from("<III", raw, 4)
-    if version != BANK_VERSION:
-        raise BadMagic(f"{path}: unsupported bank version {version}")
-    expected = 16 + 4 * rows * dim
-    if len(raw) != expected:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes, header promises {expected}")
-    data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(rows, dim).copy()
+    except IsADirectoryError:
+        raise TruncatedFile(f"{path}: is a directory, not a bank file") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(16)
+        if len(header) < 16:
+            raise TruncatedFile(f"{path}: {len(header)} bytes is shorter than the 16-byte header")
+        if header[:4] != BANK_MAGIC:
+            raise BadMagic(f"{path}: expected magic {BANK_MAGIC!r}, got {header[:4]!r}")
+        version, rows, dim = struct.unpack_from("<III", header, 4)
+        if version != BANK_VERSION:
+            raise BadMagic(f"{path}: unsupported bank version {version}")
+        # Checked before allocating, so a corrupt header cannot ask for a huge buffer.
+        expected = 16 + 4 * rows * dim
+        if size != expected:
+            raise TruncatedFile(f"{path}: {size} bytes, header promises {expected}")
+        data = np.empty((rows, dim), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise TruncatedFile(f"{path}: payload is shorter than the header promises")
 
     sidecar = ids_sidecar(path)
-    if not sidecar.exists():
+    if not sidecar.is_file():
         raise TruncatedFile(f"{sidecar}: id sidecar missing")
     try:
         lines = sidecar.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError:
         raise TruncatedFile(f"{sidecar}: id sidecar is not valid UTF-8") from None
     ids: list[str] = []
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _json_line(line)
             row, gid = obj["row"], obj["id"]
         except (json.JSONDecodeError, KeyError, TypeError):
-            raise TruncatedFile(f"{sidecar}:{lineno + 1}: malformed id record") from None
+            raise TruncatedFile(f"{sidecar}:{lineno}: malformed id record") from None
         if row != len(ids):
-            raise TruncatedFile(f"{sidecar}:{lineno + 1}: row {row}, expected {len(ids)}")
+            raise TruncatedFile(f"{sidecar}:{lineno}: row {row}, expected {len(ids)}")
         ids.append(str(gid))
     if len(ids) != rows:
         raise TruncatedFile(f"{sidecar}: {len(ids)} ids for {rows} rows")
@@ -224,7 +256,7 @@ def load_triplets(path, corpus: Corpus | None = None, subsets_path=None) -> Trip
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _json_line(line)
             rec = TripletRecord(ref=str(obj["ref"]), mod=str(obj["mod"]),
                                 tgt=str(obj["tgt"]), split=str(obj["split"]))
         except (json.JSONDecodeError, KeyError, TypeError):
@@ -251,7 +283,7 @@ def _attach_subsets(triplets: TripletSet, path, corpus: Corpus | None) -> None:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _json_line(line)
             index = int(obj["query"])
             members = tuple(str(m) for m in obj["members"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):

@@ -104,6 +104,31 @@ def _first(row: Array, cols, id_rank: Array) -> int:
     return min(cols, key=lambda c: (-row[c], id_rank[c]))
 
 
+def zero_norm_row(corpus, flavor: Flavor, **rows) -> tuple[int, str] | None:
+    """Locate the input row behind a failed norm guard.
+
+    ``rows`` maps bank names (refs, mods, targets) to row indices. The
+    first of them whose L2 norm is NaN or <= NORM_EPS is returned as its
+    position among its bank's indices and a message naming the bank, the
+    row and its id; a query bank the flavor does not read is skipped.
+    Callers look only after a guard has failed, so good input pays
+    nothing. None means no input row is degenerate.
+    """
+    unread = {Flavor.IMAGE_ONLY: "mods", Flavor.TEXT_ONLY: "refs"}.get(flavor)
+    for name, picked in rows.items():
+        if name == unread:
+            continue
+        bank = getattr(corpus, name)
+        norms = np.linalg.norm(bank.data[picked].astype(np.float64), axis=1)
+        bad = np.flatnonzero(~(norms > NORM_EPS))
+        if bad.size:
+            at = int(bad[0])
+            row = int(picked[at])
+            return at, (f"{name} bank row {row} (id {bank.ids[row]!r}) "
+                        f"has norm {float(norms[at])!r}")
+    return None
+
+
 def recall_at_k(ranks, k: int) -> float:
     """Percentage of ranks <= k."""
     ranks = np.asarray(ranks)
@@ -225,11 +250,10 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
     try:
         gallery = head.prepare_gallery(corpus.targets.data, params.dims, flavor)
     except NearZeroNorm:
-        # The row is looked up only here, so a good gallery pays nothing extra.
-        norms = np.linalg.norm(corpus.targets.data.astype(np.float64), axis=1)
-        bad = int(np.argmin(norms > NORM_EPS))
-        raise NearZeroNorm(f"targets bank row {bad} (id {gallery_ids[bad]!r}) "
-                           f"has norm {float(norms[bad])!r}") from None
+        found = zero_norm_row(corpus, flavor, targets=np.arange(n_gallery))
+        if found is None:
+            raise
+        raise NearZeroNorm(found[1]) from None
     # Query rows are gathered per block; copying every query's rows up
     # front would add two queries x dims arrays to peak memory.
     refs, mods = corpus.refs.matrix64(), corpus.mods.matrix64()
@@ -239,8 +263,16 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
     with_subsets = all(q.subset_members is not None for q in queries)
 
     def eval_block(lo: int, hi: int):
-        block = pairwise_scores(refs[ref_rows[lo:hi]], mods[mod_rows[lo:hi]], gallery,
-                                params, flavor)
+        try:
+            block = pairwise_scores(refs[ref_rows[lo:hi]], mods[mod_rows[lo:hi]], gallery,
+                                    params, flavor)
+        except NearZeroNorm:
+            found = zero_norm_row(corpus, flavor, refs=ref_rows[lo:hi], mods=mod_rows[lo:hi])
+            if found is None:
+                raise
+            bad = lo + found[0]
+            raise NearZeroNorm(f"query {bad} ({queries[bad].ref_id}, "
+                               f"{queries[bad].mod_id}): {found[1]}") from None
         nan_rows = np.flatnonzero(np.isnan(block.max(axis=1)))
         if nan_rows.size:
             bad = lo + int(nan_rows[0])

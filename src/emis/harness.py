@@ -107,6 +107,8 @@ def read_config_file(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config file {path} is a directory") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not valid UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -137,14 +139,22 @@ def make_run_config(file_settings: dict | None = None,
 _INPUT_PATH_KEYS = ("refs", "mods", "targets", "triplets", "subsets")
 
 
+def require_input_file(name: str, value) -> None:
+    """An input path must name an existing regular file, not a directory."""
+    path = Path(value)
+    if not path.is_file():
+        problem = "is not a regular file" if path.exists() else "does not exist"
+        raise ConfigError(f"{name} path {value!r} {problem}")
+
+
 def require_settings(config: RunConfig, *names: str) -> None:
-    """Presence check; input paths must also exist (checkpoint may be an output)."""
+    """Presence check; input paths must also be files (checkpoint may be an output)."""
     for name in names:
         value = getattr(config, name)
         if value is None:
             raise ConfigError(f"missing required setting {name!r}")
-        if name in _INPUT_PATH_KEYS and not Path(value).exists():
-            raise ConfigError(f"{name} path {value!r} does not exist")
+        if name in _INPUT_PATH_KEYS:
+            require_input_file(name, value)
 
 
 def load_dataset(config: RunConfig) -> tuple[Corpus, TripletSet]:

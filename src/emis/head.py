@@ -272,8 +272,12 @@ def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryS
 
 
 def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
-    """Candidate-side phase: normalize once; squares for attention flavors."""
-    t_rows = np.asarray(t_rows, dtype=np.float64)
+    """Candidate-side phase: normalize once; squares for attention flavors.
+
+    ``t_rows`` may be float32 bank rows; the normalized float64 rows are
+    the one widened copy.
+    """
+    t_rows = np.asarray(t_rows)
     if t_rows.ndim != 2:
         raise ShapeMismatch("prepare_gallery expects a 2-D row block")
     if t_rows.shape[1] != dims.h_i:
@@ -337,9 +341,12 @@ def _guard_norms(norms, what: str) -> None:
 
 
 def _normalize_rows(x: Array) -> Array:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    """Unit rows in one fresh float64 array, divided in place."""
+    out = np.array(x, dtype=np.float64)
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
     _guard_norms(norms, "row to normalize")
-    return x / norms
+    out /= norms
+    return out
 
 
 # -- the flat layout -------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, value_of
-from .errors import (ConfigError, EmptySplit, LengthMismatch, NonFiniteGradient,
-                     ShapeMismatch)
+from .errors import (ConfigError, EmptySplit, LengthMismatch, NearZeroNorm,
+                     NonFiniteGradient, ShapeMismatch)
 from .head import (Flavor, HeadDims, HeadParams, GAMMA_MIN, copy_params,
                    gradients_of, init_params, lift_params, pairwise_scores,
                    param_blocks, param_count, vector_to_params)
@@ -235,7 +235,7 @@ def train(triplets, corpus, config: TrainConfig,
     evaluated after every epoch and tracked for best checkpoints.
     """
     from .data import Corpus  # deferred: avoids import cycle at module load
-    from .evaluation import evaluate, queries_from_triplets
+    from .evaluation import evaluate, queries_from_triplets, zero_norm_row
 
     if not isinstance(corpus, Corpus):
         raise ConfigError("corpus must be a data.Corpus")
@@ -243,9 +243,12 @@ def train(triplets, corpus, config: TrainConfig,
     if not train_records:
         raise EmptySplit("no train records")
 
-    r_all = corpus.refs.rows64([rec.ref for rec in train_records])
-    m_all = corpus.mods.rows64([rec.mod for rec in train_records])
-    t_all = corpus.targets.data[[corpus.targets.row_of(rec.tgt) for rec in train_records]]
+    ref_rows = np.array([corpus.refs.row_of(rec.ref) for rec in train_records])
+    mod_rows = np.array([corpus.mods.row_of(rec.mod) for rec in train_records])
+    tgt_rows = np.array([corpus.targets.row_of(rec.tgt) for rec in train_records])
+    r_all = corpus.refs.matrix64()[ref_rows]
+    m_all = corpus.mods.matrix64()[mod_rows]
+    t_all = corpus.targets.data[tgt_rows]
 
     if dims is None:
         dims = HeadDims(h_t=corpus.mods.dim, h_i=corpus.targets.dim,
@@ -272,8 +275,15 @@ def train(triplets, corpus, config: TrainConfig,
                 continue
             if len(batch) < 2:
                 continue
-            loss, grads = bbc_loss(r_all[batch], m_all[batch], t_all[batch],
-                                   params, config.flavor)
+            try:
+                loss, grads = bbc_loss(r_all[batch], m_all[batch], t_all[batch],
+                                       params, config.flavor)
+            except NearZeroNorm:
+                found = zero_norm_row(corpus, config.flavor, refs=ref_rows[batch],
+                                      mods=mod_rows[batch], targets=tgt_rows[batch])
+                if found is None:
+                    raise
+                raise NearZeroNorm(found[1]) from None
             params, state = adamw_step(params, grads, state, lr, config)
             losses.append(loss)
         if not losses:

@@ -269,13 +269,26 @@ def test_non_utf8_input_file_exits_with_its_code(dataset, tmp_path, capsys, whic
     assert "Traceback" not in err
 
 
-def test_zero_norm_target_row_is_named(dataset, tmp_path, capsys):
-    raw = bytearray((dataset / "targets.afb").read_bytes())
+def zeroed_bank(dataset, tmp_path, name, row):
+    """A copy of bank ``name`` with ``row`` set to zeros, and its width."""
+    raw = bytearray((dataset / f"{name}.afb").read_bytes())
     dim = struct.unpack_from("<I", raw, 12)[0]
-    raw[16 + 4 * 7 * dim:16 + 4 * 8 * dim] = bytes(4 * dim)
-    targets = tmp_path / "targets.afb"
-    targets.write_bytes(bytes(raw))
-    ids_sidecar(targets).write_text(ids_sidecar(dataset / "targets.afb").read_text())
+    raw[16 + 4 * row * dim:16 + 4 * (row + 1) * dim] = bytes(4 * dim)
+    bank = tmp_path / f"{name}.afb"
+    bank.write_bytes(bytes(raw))
+    ids_sidecar(bank).write_text(ids_sidecar(dataset / f"{name}.afb").read_text())
+    return bank, dim
+
+
+def first_record(dataset, split):
+    """Index and record of the first triplet in ``split``."""
+    lines = (dataset / "triplets.jsonl").read_text().splitlines()
+    return next((i, rec) for i, rec in enumerate(map(json.loads, lines))
+                if rec["split"] == split)
+
+
+def test_zero_norm_target_row_is_named(dataset, tmp_path, capsys):
+    targets, dim = zeroed_bank(dataset, tmp_path, "targets", 7)
     cfg = config_file(tmp_path / "run.cfg", dataset)
     ckpt = tmp_path / "h.ahp"
     save_checkpoint(init_params(HeadDims(dim, dim, dim), seed=0), ckpt)
@@ -284,6 +297,60 @@ def test_zero_norm_target_row_is_named(dataset, tmp_path, capsys):
     assert code == 3
     assert "targets bank row 7 (id 't00007') has norm 0.0" in err
     assert "r_at_1" not in out
+
+
+def test_train_names_a_zero_norm_target_row(dataset, tmp_path, capsys):
+    _, record = first_record(dataset, "train")
+    row = int(record["tgt"][1:])
+    targets, _ = zeroed_bank(dataset, tmp_path, "targets", row)
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
+    ckpt = tmp_path / "h.ahp"
+    code, _, err = run_cli(capsys, "train", "--config", cfg, "--targets", str(targets),
+                           "--checkpoint", str(ckpt))
+    assert code == 3
+    assert f"targets bank row {row} (id {record['tgt']!r}) has norm 0.0" in err
+    assert "Traceback" not in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flavor, bank", [("image_only", "refs"), ("artemis", "refs"),
+                                          ("artemis", "mods"), ("text_only", "mods")])
+def test_eval_names_a_zero_norm_query_row(dataset, tmp_path, capsys, flavor, bank):
+    index, record = first_record(dataset, "test")
+    gid = record["ref" if bank == "refs" else "mod"]
+    zeroed, dim = zeroed_bank(dataset, tmp_path, bank, index)
+    cfg = config_file(tmp_path / "run.cfg", dataset)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(dim, dim, dim), seed=0), ckpt)
+    code, out, err = run_cli(capsys, "eval", "--config", cfg, f"--{bank}", str(zeroed),
+                             "--flavor", flavor, "--checkpoint", str(ckpt))
+    assert code == 3
+    assert (f"query 0 ({record['ref']}, {record['mod']}): "
+            f"{bank} bank row {index} (id {gid!r}) has norm 0.0") in err
+    assert "r_at_1" not in out
+
+
+@pytest.mark.parametrize("setting", ["refs", "mods", "targets", "triplets", "subsets",
+                                     "checkpoint", "config"])
+def test_directory_input_is_a_config_error(dataset, tmp_path, capsys, setting):
+    cfg = config_file(tmp_path / "run.cfg", dataset)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(64, 64, 64), seed=0), ckpt)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = ["eval", "--config", cfg, "--checkpoint", str(ckpt), f"--{setting}", str(folder)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "config error" in err and str(folder) in err
+    if setting != "config":
+        assert f"{setting} path" in err
+    assert "Traceback" not in err and "r_at_1" not in out
+
+
+def test_inspect_bank_on_a_directory_is_a_data_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "inspect-bank", str(tmp_path))
+    assert code == 3
+    assert "is a directory" in err and "Traceback" not in err
 
 
 def test_unknown_split_names_are_config_errors(dataset, tmp_path, capsys):

@@ -29,6 +29,7 @@ from emis.evaluation import (
     rank_queries,
     recall_at_k,
     round_half_up,
+    zero_norm_row,
 )
 from emis.head import Flavor, HeadDims, init_params, pairwise_scores
 
@@ -504,3 +505,21 @@ def test_shoes_and_cirr_aggregates():
         aggregate_suite({"r_at_5": 1.0}, "cirr")
     with pytest.raises(ConfigError):
         aggregate_suite({}, "imagenet")
+
+
+def test_zero_norm_row_names_the_first_degenerate_row_the_flavor_reads():
+    ones = np.ones((4, 2), dtype=np.float32)
+    refs, mods = ones.copy(), ones.copy()
+    refs[1] = 0.0
+    mods[3] = 1e-13
+    corpus = Corpus(refs=FeatureBank(ids=[f"r{i}" for i in range(4)], data=refs),
+                    mods=FeatureBank(ids=[f"m{i}" for i in range(4)], data=mods),
+                    targets=FeatureBank(ids=[f"t{i}" for i in range(4)], data=ones))
+    rows = {"refs": np.array([3, 1]), "mods": np.array([0, 3])}
+    assert zero_norm_row(corpus, Flavor.ARTEMIS, **rows) == (
+        1, "refs bank row 1 (id 'r1') has norm 0.0")
+    assert zero_norm_row(corpus, Flavor.IMAGE_ONLY, **rows)[1].startswith("refs bank row 1")
+    found = zero_norm_row(corpus, Flavor.TEXT_ONLY, **rows)
+    assert found[0] == 1 and found[1].startswith("mods bank row 3 (id 'm3') has norm ")
+    assert zero_norm_row(corpus, Flavor.IMAGE_ONLY, mods=np.array([3])) is None
+    assert zero_norm_row(corpus, Flavor.ARTEMIS, targets=np.arange(4)) is None

@@ -188,6 +188,24 @@ def test_phase_split_equals_fused_call():
     assert np.array_equal(part, fused[1:3])
 
 
+@pytest.mark.parametrize("flavor", [Flavor.IMAGE_ONLY, Flavor.ARTEMIS])
+def test_prepare_gallery_takes_float32_rows_and_leaves_them_alone(flavor):
+    dims = HeadDims(8, 8, 8)
+    _, _, t_rows = _toy_batch(dims, 1, 9, seed=3)
+    rows32 = (3.0 * t_rows).astype(np.float32)
+    rows64 = rows32.astype(np.float64)
+    kept32, kept64 = rows32.copy(), rows64.copy()
+    from32, from64 = prepare_gallery(rows32, dims, flavor), prepare_gallery(rows64, dims, flavor)
+    assert np.array_equal(rows32, kept32) and np.array_equal(rows64, kept64)
+    assert from32.tn.dtype == np.float64
+    assert np.array_equal(from32.tn, from64.tn)
+    assert np.array_equal(from32.tn, rows64 / np.linalg.norm(rows64, axis=1, keepdims=True))
+    r_rows = 2.0 * rows64[:4]
+    kept = r_rows.copy()
+    encode_queries(r_rows, r_rows, init_params(dims, seed=3), Flavor.IMAGE_ONLY)
+    assert np.array_equal(r_rows, kept)
+
+
 @pytest.mark.parametrize("flavor", [Flavor.LATE_FUSION, Flavor.ARTEMIS])
 def test_pairwise_accepts_prepared_gallery(flavor):
     dims = HeadDims(8, 8, 8)
