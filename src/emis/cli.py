@@ -21,7 +21,8 @@ from .evaluation import aggregate_suite, evaluate, queries_from_triplets
 from .harness import (RUN_KEY_TYPES, BenchConfig, RunConfig, ablation_table,
                       bench_latency, gradient_check_suite, load_dataset,
                       make_run_config, read_config_file, require_input_file,
-                      require_settings, resolve_dims, run_ablation, write_synthetic)
+                      require_output_path, require_settings, resolve_dims,
+                      run_ablation, write_synthetic)
 from .head import (HeadDims, head_mac_count, load_checkpoint, param_count,
                    save_checkpoint)
 from .training import train, write_epoch_logs
@@ -153,6 +154,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _run_config(args)
     require_settings(config, "checkpoint")
+    require_output_path("checkpoint", config.checkpoint)
+    require_output_path("logs", args.logs)
     corpus, triplets = load_dataset(config)
     monitor = tuple(s.strip() for s in config.monitor.split(",") if s.strip())
     result = train(triplets, corpus, config.train_config(),
@@ -179,10 +182,9 @@ def _aggregate_cells(config: RunConfig, cell_args: list[str]) -> int:
         if "=" not in item:
             raise ConfigError(f"--cells entries look like name=metrics.json, got {item!r}")
         name, path = item.split("=", 1)
+        require_input_file(f"cell {name}", path)
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"cell file {path!r} does not exist") from None
         except json.JSONDecodeError:
             raise DataError(f"cell file {path!r} is not valid JSON") from None
         cells[name.strip()] = payload.get("metrics", payload)
@@ -203,6 +205,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _aggregate_cells(config, args.cells)
     require_settings(config, "checkpoint")
     require_input_file("checkpoint", config.checkpoint)
+    require_output_path("dump", args.dump)
+    require_output_path("metrics-out", args.metrics_out)
     corpus, triplets = load_dataset(config)
     params = load_checkpoint(config.checkpoint)
     queries = queries_from_triplets(triplets, config.split, config.exclude_ref)
@@ -223,6 +227,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     config = _run_config(args)
+    require_output_path("out", args.out)
     log = None if args.quiet else lambda line: print(line, flush=True)
     reports = run_ablation(config, log=log)
     print(ablation_table(reports))
@@ -249,6 +254,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         h_t=args.dim, h_i=args.dim, h_hidden=args.dim,
                         repeats=args.repeats, block_size=args.block_size,
                         seed=args.seed)
+    require_output_path("out", args.out)
     dims = HeadDims(bench.h_t, bench.h_i, bench.h_hidden)
     params = None
     if args.checkpoint:

@@ -1,9 +1,9 @@
 """Feature banks, triplet files, and the synthetic benchmark generator.
 
 Banks are little-endian binary matrices of float32 rows with a JSONL
-id sidecar; reads return exactly what was written. ``matrix64``
-normalizes the query-side banks (references and modifiers); gallery
-rows go raw to ``head.prepare_gallery``, their one normalizer.
+id sidecar; reads return exactly what was written. Evaluation and
+training gather raw rows and normalize only those, in
+``numerics.normalize_rows``, where a degenerate row is an error.
 Triplets are JSONL records {ref, mod, tgt, split} with an optional
 subsets sidecar for candidate-restricted recall. Every JSONL reader
 decodes one value per line, as ``json.loads`` would, and names the
@@ -24,14 +24,13 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (BadMagic, BadSplit, ConfigError, DataError, DuplicateId,
                      MissingSubset, NonFiniteData, ShapeMismatch, SpecInvalid,
                      TruncatedFile, UnknownId)
-from .numerics import NORM_EPS
+from .numerics import NORM_EPS, normalize_rows
 
 Array = np.ndarray
 
@@ -64,7 +63,6 @@ class FeatureBank:
                 if i in seen:
                     raise DuplicateId(f"id {i!r} appears twice")
                 seen.add(i)
-        self._mat64: Array | None = None
 
     @property
     def n(self) -> int:
@@ -81,21 +79,8 @@ class FeatureBank:
             raise UnknownId(f"id {gid!r} not in bank") from None
 
     def matrix64(self) -> Array:
-        """Float64 rows, L2-normalized; rows with norm <= 1e-12 pass through.
-
-        The query-side normalizer (references and modifiers); gallery rows
-        are normalized by ``head.prepare_gallery`` instead.
-        """
-        if self._mat64 is None:
-            wide = self.data.astype(np.float64)
-            norms = np.linalg.norm(wide, axis=1, keepdims=True)
-            safe = np.where(norms > NORM_EPS, norms, 1.0)
-            self._mat64 = wide / safe
-        return self._mat64
-
-    def rows64(self, ids: Sequence[str]) -> Array:
-        rows = [self.row_of(i) for i in ids]
-        return self.matrix64()[rows]
+        """All rows through ``numerics.normalize_rows``: unit float64 rows."""
+        return normalize_rows(self.data)
 
 
 def write_feature_bank(bank: FeatureBank, path) -> None:

@@ -3,10 +3,11 @@
 Candidates are ordered by descending score with ascending-id
 tie-breaks, so results are deterministic. The streaming evaluator
 prepares the gallery once per call, from the target bank's raw rows,
-and scores the queries block by block against it. A query's rank is
-one plus the number of candidates ahead of its first ground truth
-(scoring higher, or tied with a lower id), counted block-wide; subset
-ranks count over the members only. The sort this equals lives in
+and scores the queries block by block against it, normalizing each
+block's raw query rows as it gathers them. A query's rank is one plus
+the number of candidates ahead of its first ground truth (scoring
+higher, or tied with a lower id), counted block-wide; subset ranks
+count over the members only. The sort this equals lives in
 ``tests/rank_oracle.py`` as the ranker's oracle. The top-k dump uses
 exact partial selection: a partition finds the k-th best kept score,
 and only the candidates at or above it (every tie at the boundary
@@ -30,7 +31,7 @@ from . import head
 from .errors import (ConfigError, EmptyInput, MissingCell, MissingSubset,
                      NearZeroNorm, NonFiniteGradient, ShapeMismatch, UnknownId)
 from .head import Flavor, HeadParams, pairwise_scores
-from .numerics import NORM_EPS
+from .numerics import NORM_EPS, normalize_rows
 
 Array = np.ndarray
 
@@ -104,29 +105,27 @@ def _first(row: Array, cols, id_rank: Array) -> int:
     return min(cols, key=lambda c: (-row[c], id_rank[c]))
 
 
-def zero_norm_row(corpus, flavor: Flavor, **rows) -> tuple[int, str] | None:
-    """Locate the input row behind a failed norm guard.
+def raise_zero_norm_row(corpus, queries: Sequence[QuerySpec] = (), first: int = 0,
+                        **rows) -> None:
+    """Raise NearZeroNorm naming the first row whose norm is NaN or <= NORM_EPS.
 
-    ``rows`` maps bank names (refs, mods, targets) to row indices. The
-    first of them whose L2 norm is NaN or <= NORM_EPS is returned as its
-    position among its bank's indices and a message naming the bank, the
-    row and its id; a query bank the flavor does not read is skipped.
-    Callers look only after a guard has failed, so good input pays
-    nothing. None means no input row is degenerate.
+    ``rows`` maps bank names (refs, mods, targets) to the row indices a
+    failed norm guard saw. The message names the bank, row and id, and
+    with ``queries`` the query at ``first`` plus the row's position.
+    Called only after a guard failed, so good input pays nothing.
     """
-    unread = {Flavor.IMAGE_ONLY: "mods", Flavor.TEXT_ONLY: "refs"}.get(flavor)
     for name, picked in rows.items():
-        if name == unread:
-            continue
         bank = getattr(corpus, name)
         norms = np.linalg.norm(bank.data[picked].astype(np.float64), axis=1)
         bad = np.flatnonzero(~(norms > NORM_EPS))
         if bad.size:
             at = int(bad[0])
             row = int(picked[at])
-            return at, (f"{name} bank row {row} (id {bank.ids[row]!r}) "
-                        f"has norm {float(norms[at])!r}")
-    return None
+            where = f"{name} bank row {row} (id {bank.ids[row]!r}) has norm {float(norms[at])!r}"
+            if queries:
+                q = queries[first + at]
+                where = f"query {first + at} ({q.ref_id}, {q.mod_id}): {where}"
+            raise NearZeroNorm(where) from None
 
 
 def recall_at_k(ranks, k: int) -> float:
@@ -250,13 +249,10 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
     try:
         gallery = head.prepare_gallery(corpus.targets.data, params.dims, flavor)
     except NearZeroNorm:
-        found = zero_norm_row(corpus, flavor, targets=np.arange(n_gallery))
-        if found is None:
-            raise
-        raise NearZeroNorm(found[1]) from None
-    # Query rows are gathered per block; copying every query's rows up
-    # front would add two queries x dims arrays to peak memory.
-    refs, mods = corpus.refs.matrix64(), corpus.mods.matrix64()
+        raise_zero_norm_row(corpus, targets=np.arange(n_gallery))
+        raise
+    # Query rows are gathered and normalized per block; doing it for every
+    # query up front would add two queries x dims arrays to peak memory.
     ref_rows = np.array([corpus.refs.row_of(q.ref_id) for q in queries], dtype=np.int64)
     mod_rows = np.array([corpus.mods.row_of(q.mod_id) for q in queries], dtype=np.int64)
 
@@ -264,15 +260,12 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
 
     def eval_block(lo: int, hi: int):
         try:
-            block = pairwise_scores(refs[ref_rows[lo:hi]], mods[mod_rows[lo:hi]], gallery,
-                                    params, flavor)
+            block = pairwise_scores(normalize_rows(corpus.refs.data[ref_rows[lo:hi]]),
+                                    normalize_rows(corpus.mods.data[mod_rows[lo:hi]]),
+                                    gallery, params, flavor)
         except NearZeroNorm:
-            found = zero_norm_row(corpus, flavor, refs=ref_rows[lo:hi], mods=mod_rows[lo:hi])
-            if found is None:
-                raise
-            bad = lo + found[0]
-            raise NearZeroNorm(f"query {bad} ({queries[bad].ref_id}, "
-                               f"{queries[bad].mod_id}): {found[1]}") from None
+            raise_zero_norm_row(corpus, queries, lo, refs=ref_rows[lo:hi], mods=mod_rows[lo:hi])
+            raise
         nan_rows = np.flatnonzero(np.isnan(block.max(axis=1)))
         if nan_rows.size:
             bad = lo + int(nan_rows[0])

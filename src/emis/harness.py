@@ -25,7 +25,7 @@ from .evaluation import (MetricReport, evaluate, queries_from_triplets,
 from .head import (Flavor, HeadDims, HeadParams, encode_queries, init_params,
                    pairwise_scores, param_count, prepare_gallery,
                    scores_from_state, vector_to_params)
-from .numerics import finite_diff_check
+from .numerics import finite_diff_check, normalize_rows
 from .training import TrainConfig, bbc_loss_from_scores, train
 
 Array = np.ndarray
@@ -60,6 +60,11 @@ class RunConfig:
     monitor: str = "val"
     selection_metric: str = "r_at_10"
     h_hidden: int = 0  # 0 means "match the target bank width"
+
+    def __post_init__(self) -> None:
+        for key, smallest in (("block_size", 1), ("workers", 1), ("h_hidden", 0)):
+            if getattr(self, key) < smallest:
+                raise ConfigError(f"{key} must be >= {smallest}, got {getattr(self, key)!r}")
 
     def parsed_flavor(self) -> Flavor:
         return Flavor.parse(self.flavor)
@@ -145,6 +150,17 @@ def require_input_file(name: str, value) -> None:
     if not path.is_file():
         problem = "is not a regular file" if path.exists() else "does not exist"
         raise ConfigError(f"{name} path {value!r} {problem}")
+
+
+def require_output_path(name: str, value) -> None:
+    """An output path, when given, is no directory and its directory exists."""
+    if value is None:
+        return
+    path = Path(value)
+    if path.is_dir():
+        raise ConfigError(f"{name} path {value!r} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{name} path {value!r}: no directory {str(path.parent)!r}")
 
 
 def require_settings(config: RunConfig, *names: str) -> None:
@@ -422,11 +438,6 @@ class GradCheckSummary:
         return "\n".join(lines)
 
 
-def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> Array:
-    rows = rng.standard_normal((n, dim))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
 def _run_grad_instance(kind: str, seed: int, dims: HeadDims, batch: int,
                        tol: float, n_coords: int | None,
                        h: float = 1e-4) -> GradCheckInstance:
@@ -437,9 +448,9 @@ def _run_grad_instance(kind: str, seed: int, dims: HeadDims, batch: int,
     what, _, flavor_name = kind.partition("_")
     flavor = Flavor.parse(flavor_name)
     nq, ng = (batch, batch) if what == "bbc" else (2, 3)
-    r = _unit_rows(rng, nq, dims.h_i)
-    m = _unit_rows(rng, nq, dims.h_t)
-    t = _unit_rows(rng, ng, dims.h_i)
+    r = normalize_rows(rng.standard_normal((nq, dims.h_i)))
+    m = normalize_rows(rng.standard_normal((nq, dims.h_t)))
+    t = normalize_rows(rng.standard_normal((ng, dims.h_i)))
 
     def f(vec):
         params = vector_to_params(vec, dims)

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var, value_of
-from .errors import (BadMagic, ConfigError, NearZeroNorm, NonFiniteData, ShapeMismatch,
-                     TruncatedFile)
-from .numerics import NORM_EPS
+from .errors import BadMagic, ConfigError, NonFiniteData, ShapeMismatch, TruncatedFile
+from .numerics import guard_norms, normalize_rows
 
 Array = np.ndarray
 
@@ -241,15 +240,15 @@ def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryS
     n = r_rows.shape[0]
 
     if flavor is Flavor.IMAGE_ONLY:
-        return QueryState(flavor, n, plain=_normalize_rows(r_rows))
+        return QueryState(flavor, n, plain=normalize_rows(r_rows))
     if flavor is Flavor.TEXT_ONLY:
         if dims.h_t != dims.h_i:
             raise ShapeMismatch("text_only needs h_t == h_i (raw modifier/candidate cosine)")
-        return QueryState(flavor, n, plain=_normalize_rows(m_rows))
+        return QueryState(flavor, n, plain=normalize_rows(m_rows))
     if flavor is Flavor.LATE_FUSION:
         if dims.h_t != dims.h_i:
             raise ShapeMismatch("late_fusion needs h_t == h_i (sums reference and modifier)")
-        return QueryState(flavor, n, plain=_normalize_rows(r_rows + m_rows))
+        return QueryState(flavor, n, plain=normalize_rows(r_rows + m_rows))
     if flavor not in (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS):
         raise ShapeMismatch(f"unhandled flavor {flavor}")
 
@@ -258,14 +257,14 @@ def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryS
         a = attention_rows(m_rows, params.attn_is)
         ar = a * r_rows
         query_norm = ad.sqrt(ad.sum_rows(ad.square(ar)))   # (Q,1)  ||a*r||
-        _guard_norms(query_norm, "attention-weighted reference")
+        guard_norms(query_norm, "attention-weighted reference")
         state.x_is = (a * ar) / query_norm
         state.sq_is = ad.square(a)
     if flavor in (Flavor.EM_ONLY, Flavor.ARTEMIS):
         a = attention_rows(m_rows, params.attn_em)
         p = m_rows @ params.proj_w + params.proj_b
         query_norm = ad.sqrt(ad.sum_rows(ad.square(p)))    # (Q,1)  ||T(m)||
-        _guard_norms(query_norm, "projected modifier")
+        guard_norms(query_norm, "projected modifier")
         state.y_em = (p * a) / query_norm
         state.sq_em = ad.square(a)
     return state
@@ -282,7 +281,7 @@ def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
         raise ShapeMismatch("prepare_gallery expects a 2-D row block")
     if t_rows.shape[1] != dims.h_i:
         raise ShapeMismatch(f"candidate width {t_rows.shape[1]} vs h_i {dims.h_i}")
-    tn = _normalize_rows(t_rows)
+    tn = normalize_rows(t_rows)
     if flavor in (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS):
         return GalleryState(tn=tn, tn_sq=tn * tn)
     return GalleryState(tn=tn)
@@ -300,7 +299,7 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
 
     def gated(x, sq):
         pair_norm = ad.sqrt(sq @ tn_sq.T)   # (Q,G)  ||a*t|| on unit t rows
-        _guard_norms(pair_norm, "attention-weighted candidate")
+        guard_norms(pair_norm, "attention-weighted candidate")
         return (x @ tn.T) / pair_norm
 
     if queries.flavor is Flavor.IS_ONLY:
@@ -330,23 +329,6 @@ def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,
     if gallery.tn.shape[1] != params.dims.h_i:
         raise ShapeMismatch(f"candidate width {gallery.tn.shape[1]} vs h_i {params.dims.h_i}")
     return scores_from_state(state, gallery)
-
-
-def _guard_norms(norms, what: str) -> None:
-    # min() propagates NaN and NaN > eps is False, so NaN fails the guard
-    # too; the inf start lets zero rows through.
-    smallest = float(value_of(norms).min(initial=np.inf))
-    if not smallest > NORM_EPS:
-        raise NearZeroNorm(f"{what} has norm {smallest!r}")
-
-
-def _normalize_rows(x: Array) -> Array:
-    """Unit rows in one fresh float64 array, divided in place."""
-    out = np.array(x, dtype=np.float64)
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
-    _guard_norms(norms, "row to normalize")
-    out /= norms
-    return out
 
 
 # -- the flat layout -------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The norm floor and gradient verification.
+"""The norm floor, the row normalizer and gradient verification.
 
-``NORM_EPS`` is the smallest norm the head and the banks will divide
-by. ``finite_diff_check`` is the ground-truth oracle used by the test
-suite and the ``gradcheck`` CLI command: it compares tape gradients
-against central differences, coordinate by coordinate.
+``NORM_EPS`` is the smallest norm the program will divide by, and
+``normalize_rows`` the one row normalizer: a row whose norm is NaN or
+<= ``NORM_EPS`` raises ``NearZeroNorm``. ``finite_diff_check`` is the
+ground-truth oracle used by the test suite and the ``gradcheck`` CLI
+command: it compares tape gradients against central differences,
+coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -13,12 +15,30 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Var
-from .errors import NonFiniteGradient, ShapeMismatch
+from .autodiff import Tape, Var, value_of
+from .errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
 
 Array = np.ndarray
 
 NORM_EPS = 1e-12
+
+
+def guard_norms(norms, what: str) -> None:
+    """Raise ``NearZeroNorm`` unless every norm (array or tape Var) is > NORM_EPS."""
+    # min() propagates NaN and NaN > eps is False, so NaN fails the guard
+    # too; the inf start lets zero rows through.
+    smallest = float(value_of(norms).min(initial=np.inf))
+    if not smallest > NORM_EPS:
+        raise NearZeroNorm(f"{what} has norm {smallest!r}")
+
+
+def normalize_rows(x: Array) -> Array:
+    """Unit rows in one fresh float64 array, divided in place."""
+    out = np.array(x, dtype=np.float64)
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    guard_norms(norms, "row to normalize")
+    out /= norms
+    return out
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .errors import (ConfigError, EmptySplit, LengthMismatch, NearZeroNorm,
 from .head import (Flavor, HeadDims, HeadParams, GAMMA_MIN, copy_params,
                    gradients_of, init_params, lift_params, pairwise_scores,
                    param_blocks, param_count, vector_to_params)
+from .numerics import normalize_rows
 
 Array = np.ndarray
 
@@ -235,7 +236,7 @@ def train(triplets, corpus, config: TrainConfig,
     evaluated after every epoch and tracked for best checkpoints.
     """
     from .data import Corpus  # deferred: avoids import cycle at module load
-    from .evaluation import evaluate, queries_from_triplets, zero_norm_row
+    from .evaluation import evaluate, queries_from_triplets, raise_zero_norm_row
 
     if not isinstance(corpus, Corpus):
         raise ConfigError("corpus must be a data.Corpus")
@@ -246,8 +247,12 @@ def train(triplets, corpus, config: TrainConfig,
     ref_rows = np.array([corpus.refs.row_of(rec.ref) for rec in train_records])
     mod_rows = np.array([corpus.mods.row_of(rec.mod) for rec in train_records])
     tgt_rows = np.array([corpus.targets.row_of(rec.tgt) for rec in train_records])
-    r_all = corpus.refs.matrix64()[ref_rows]
-    m_all = corpus.mods.matrix64()[mod_rows]
+    try:
+        r_all = normalize_rows(corpus.refs.data[ref_rows])
+        m_all = normalize_rows(corpus.mods.data[mod_rows])
+    except NearZeroNorm:
+        raise_zero_norm_row(corpus, refs=ref_rows, mods=mod_rows)
+        raise
     t_all = corpus.targets.data[tgt_rows]
 
     if dims is None:
@@ -279,11 +284,8 @@ def train(triplets, corpus, config: TrainConfig,
                 loss, grads = bbc_loss(r_all[batch], m_all[batch], t_all[batch],
                                        params, config.flavor)
             except NearZeroNorm:
-                found = zero_norm_row(corpus, config.flavor, refs=ref_rows[batch],
-                                      mods=mod_rows[batch], targets=tgt_rows[batch])
-                if found is None:
-                    raise
-                raise NearZeroNorm(found[1]) from None
+                raise_zero_norm_row(corpus, targets=tgt_rows[batch])
+                raise
             params, state = adamw_step(params, grads, state, lr, config)
             losses.append(loss)
         if not losses:

@@ -42,15 +42,11 @@ def assert_one_flat_buffer(params: HeadParams) -> None:
     assert all(b.base is blocks[0].base for b in blocks)
 
 
-def refuse_target_normalization(monkeypatch, corpus) -> None:
-    """Make ``FeatureBank.matrix64`` fail for ``corpus.targets``: gallery
-    rows are meant to reach ``prepare_gallery`` raw and be normalized there."""
-    original = FeatureBank.matrix64
-
+def refuse_matrix64(monkeypatch) -> None:
+    """Make every ``FeatureBank.matrix64`` call fail, on any bank: the
+    pipeline normalizes only the raw rows it gathers."""
     def matrix64(bank):
-        if bank is corpus.targets:
-            raise AssertionError("the targets bank was normalized by matrix64")
-        return original(bank)
+        raise AssertionError(f"matrix64 was called on a bank of {bank.n} rows")
 
     monkeypatch.setattr(FeatureBank, "matrix64", matrix64)
 

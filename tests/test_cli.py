@@ -313,21 +313,82 @@ def test_train_names_a_zero_norm_target_row(dataset, tmp_path, capsys):
     assert not ckpt.exists()
 
 
-@pytest.mark.parametrize("flavor, bank", [("image_only", "refs"), ("artemis", "refs"),
-                                          ("artemis", "mods"), ("text_only", "mods")])
+@pytest.mark.parametrize("flavor, bank", [(f.value, b) for f in Flavor for b in ("refs", "mods")])
 def test_eval_names_a_zero_norm_query_row(dataset, tmp_path, capsys, flavor, bank):
+    """Every flavor stops on a zero query row, also one it reads only in part."""
     index, record = first_record(dataset, "test")
     gid = record["ref" if bank == "refs" else "mod"]
     zeroed, dim = zeroed_bank(dataset, tmp_path, bank, index)
     cfg = config_file(tmp_path / "run.cfg", dataset)
     ckpt = tmp_path / "h.ahp"
-    save_checkpoint(init_params(HeadDims(dim, dim, dim), seed=0), ckpt)
+    params = init_params(HeadDims(dim, dim, dim), seed=0)
+    params.proj_b[...] = 0.1   # as after training: a zero modifier projects to proj.b
+    save_checkpoint(params, ckpt)
     code, out, err = run_cli(capsys, "eval", "--config", cfg, f"--{bank}", str(zeroed),
                              "--flavor", flavor, "--checkpoint", str(ckpt))
     assert code == 3
     assert (f"query 0 ({record['ref']}, {record['mod']}): "
             f"{bank} bank row {index} (id {gid!r}) has norm 0.0") in err
     assert "r_at_1" not in out
+
+
+@pytest.mark.parametrize("bank", ["refs", "mods"])
+def test_train_names_a_zero_norm_query_row(dataset, tmp_path, capsys, bank):
+    """late_fusion reads a zero reference or modifier row only inside a sum."""
+    index, record = first_record(dataset, "train")
+    gid = record["ref" if bank == "refs" else "mod"]
+    zeroed, _ = zeroed_bank(dataset, tmp_path, bank, index)
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
+    ckpt = tmp_path / "h.ahp"
+    code, _, err = run_cli(capsys, "train", "--config", cfg, f"--{bank}", str(zeroed),
+                           "--flavor", "late_fusion", "--checkpoint", str(ckpt))
+    assert code == 3
+    assert f"{bank} bank row {index} (id {gid!r}) has norm 0.0" in err
+    assert "Traceback" not in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--block-size", "0"), ("--block-size", "-3"),
+                                         ("--workers", "0"), ("--workers", "-2"),
+                                         ("--h-hidden", "-5")])
+def test_bad_run_settings_are_config_errors(dataset, tmp_path, capsys, flag, value):
+    cfg = config_file(tmp_path / "run.cfg", dataset)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(64, 64, 64), seed=0), ckpt)
+    code, out, err = run_cli(capsys, "eval", "--config", cfg, "--checkpoint", str(ckpt),
+                             flag, value)
+    assert code == 2
+    assert f"{flag[2:].replace('-', '_')} must be >= " in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command, flag, problem", [
+    ("train", "--checkpoint", "directory"), ("train", "--checkpoint", "no parent"),
+    ("train", "--logs", "directory"), ("eval", "--dump", "directory"),
+    ("eval", "--dump", "no parent"), ("eval", "--metrics-out", "directory"),
+    ("eval", "--cells", "directory"), ("ablate", "--out", "directory"),
+    ("bench", "--out", "directory")])
+def test_unusable_output_path_is_a_config_error_before_any_work(dataset, tmp_path, capsys,
+                                                                  command, flag, problem):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    path = str(folder) if problem == "directory" else str(tmp_path / "nodir" / "x")
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(64, 64, 64), seed=0), ckpt)
+    argv = {"train": ["--config", cfg, "--checkpoint", str(tmp_path / "out.ahp")],
+            "eval": ["--config", cfg, "--checkpoint", str(ckpt)],
+            "ablate": ["--config", cfg, "--quiet"],
+            "bench": ["--queries", "4", "--gallery", "8", "--dim", "8", "--repeats", "1",
+                      "--block-size", "4"]}[command]
+    if flag == "--cells":
+        argv = ["--convention", "cirr", "--cells", f"only={path}"]
+    else:
+        argv = argv + [flag, path]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert "config error" in err and path in err and "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("setting", ["refs", "mods", "targets", "triplets", "subsets",

@@ -23,6 +23,7 @@ from emis.errors import (
     DataError,
     DuplicateId,
     MissingSubset,
+    NearZeroNorm,
     NonFiniteData,
     ShapeMismatch,
     SpecInvalid,
@@ -61,15 +62,19 @@ def test_bank_lookup_and_rows():
     assert bank.row_of("y") == 1
     with pytest.raises(UnknownId):
         bank.row_of("zz")
-    np.testing.assert_allclose(bank.rows64(["x"]), [[0.6, 0.8]], atol=1e-7)
 
 
-def test_matrix64_normalizes_and_passes_zero_rows():
-    bank = FeatureBank(ids=["a", "z"], data=np.array([[2.0, 0.0], [0.0, 0.0]],
+def test_matrix64_normalizes_and_rejects_zero_rows():
+    bank = FeatureBank(ids=["x", "y"], data=np.array([[3.0, 4.0], [1.0, 0.0]],
                                                      dtype=np.float32))
     mat = bank.matrix64()
-    np.testing.assert_allclose(mat[0], [1.0, 0.0], atol=1e-12)
-    np.testing.assert_array_equal(mat[1], [0.0, 0.0])
+    assert mat.dtype == np.float64
+    np.testing.assert_allclose(mat, [[0.6, 0.8], [1.0, 0.0]], atol=1e-7)
+    for bad_row in ([0.0, 0.0], [1e-13, 0.0]):
+        degenerate = FeatureBank(ids=["a", "z"], data=np.array([[2.0, 0.0], bad_row],
+                                                               dtype=np.float32))
+        with pytest.raises(NearZeroNorm, match="row to normalize has norm"):
+            degenerate.matrix64()
 
 
 # -- AFB1 format -------------------------------------------------------------------

@@ -14,6 +14,7 @@ from emis.errors import (
     EmptyInput,
     MissingCell,
     MissingSubset,
+    NearZeroNorm,
     NonFiniteGradient,
     ShapeMismatch,
     UnknownId,
@@ -26,14 +27,14 @@ from emis.evaluation import (
     evaluate,
     median_rank,
     queries_from_triplets,
+    raise_zero_norm_row,
     rank_queries,
     recall_at_k,
     round_half_up,
-    zero_norm_row,
 )
 from emis.head import Flavor, HeadDims, init_params, pairwise_scores
 
-from conftest import refuse_target_normalization, unit_rows
+from conftest import refuse_matrix64, unit_rows
 from rank_oracle import RankResult, rank_targets
 
 
@@ -68,8 +69,9 @@ def simple_queries(corpus: Corpus, rng: np.random.Generator,
 def full_scores(queries, corpus: Corpus, params, flavor: Flavor) -> np.ndarray:
     """The whole queries x gallery matrix from one pairwise_scores call,
     fed the raw target rows as the evaluator feeds them."""
-    return pairwise_scores(corpus.refs.rows64([q.ref_id for q in queries]),
-                           corpus.mods.rows64([q.mod_id for q in queries]),
+    refs = [corpus.refs.row_of(q.ref_id) for q in queries]
+    mods = [corpus.mods.row_of(q.mod_id) for q in queries]
+    return pairwise_scores(corpus.refs.matrix64()[refs], corpus.mods.matrix64()[mods],
                            corpus.targets.data, params, flavor)
 
 
@@ -318,9 +320,10 @@ def test_evaluate_normalizes_gallery_rows_only_in_prepare_gallery(tmp_path, monk
     params = init_params(HeadDims(6, 6, 6), seed=3)
     expected = evaluate(queries, corpus, params, Flavor.ARTEMIS,
                         dump_path=tmp_path / "a.jsonl")
-    refuse_target_normalization(monkeypatch, corpus)
-    with pytest.raises(AssertionError):
-        corpus.targets.matrix64()
+    refuse_matrix64(monkeypatch)
+    for bank in (corpus.refs, corpus.mods, corpus.targets):
+        with pytest.raises(AssertionError):
+            bank.matrix64()
     report = evaluate(queries, corpus, params, Flavor.ARTEMIS,
                       dump_path=tmp_path / "b.jsonl")
     assert report.to_json() == expected.to_json()
@@ -507,7 +510,7 @@ def test_shoes_and_cirr_aggregates():
         aggregate_suite({}, "imagenet")
 
 
-def test_zero_norm_row_names_the_first_degenerate_row_the_flavor_reads():
+def test_raise_zero_norm_row_names_the_first_degenerate_row():
     ones = np.ones((4, 2), dtype=np.float32)
     refs, mods = ones.copy(), ones.copy()
     refs[1] = 0.0
@@ -516,10 +519,12 @@ def test_zero_norm_row_names_the_first_degenerate_row_the_flavor_reads():
                     mods=FeatureBank(ids=[f"m{i}" for i in range(4)], data=mods),
                     targets=FeatureBank(ids=[f"t{i}" for i in range(4)], data=ones))
     rows = {"refs": np.array([3, 1]), "mods": np.array([0, 3])}
-    assert zero_norm_row(corpus, Flavor.ARTEMIS, **rows) == (
-        1, "refs bank row 1 (id 'r1') has norm 0.0")
-    assert zero_norm_row(corpus, Flavor.IMAGE_ONLY, **rows)[1].startswith("refs bank row 1")
-    found = zero_norm_row(corpus, Flavor.TEXT_ONLY, **rows)
-    assert found[0] == 1 and found[1].startswith("mods bank row 3 (id 'm3') has norm ")
-    assert zero_norm_row(corpus, Flavor.IMAGE_ONLY, mods=np.array([3])) is None
-    assert zero_norm_row(corpus, Flavor.ARTEMIS, targets=np.arange(4)) is None
+    with pytest.raises(NearZeroNorm, match=r"^refs bank row 1 \(id 'r1'\) has norm 0\.0$"):
+        raise_zero_norm_row(corpus, **rows)
+    # Every bank asked about is checked: no flavor skips the modifiers.
+    with pytest.raises(NearZeroNorm, match=r"^mods bank row 3 \(id 'm3'\) has norm "):
+        raise_zero_norm_row(corpus, refs=np.array([0, 2]), mods=np.array([0, 3]))
+    queries = [QuerySpec(f"r{i}", f"m{i}", ("t0",)) for i in range(4)]
+    with pytest.raises(NearZeroNorm, match=r"^query 3 \(r3, m3\): mods bank row 3 "):
+        raise_zero_norm_row(corpus, queries, 2, refs=np.array([2, 3]), mods=np.array([2, 3]))
+    assert raise_zero_norm_row(corpus, refs=np.array([0, 2]), targets=np.arange(4)) is None

@@ -41,7 +41,7 @@ from emis.training import (
 
 import scalar_oracle
 from adamw_oracle import OracleAdamW
-from conftest import assert_one_flat_buffer, refuse_target_normalization, unit_rows
+from conftest import assert_one_flat_buffer, refuse_matrix64, unit_rows
 
 GAMMA_MIN = 1e-3
 
@@ -369,7 +369,7 @@ def test_train_normalizes_target_rows_only_in_prepare_gallery(monkeypatch):
     corpus, triplets = tiny_synth(seed=1, n_val=4)
     config = TrainConfig(epochs=1, batch_size=16, seed=0)
     expected = train(triplets, corpus, config, monitor=("val",))
-    refuse_target_normalization(monkeypatch, corpus)
+    refuse_matrix64(monkeypatch)
     result = train(triplets, corpus, config, monitor=("val",))
     assert [(log.loss, log.metrics) for log in result.logs] == [
         (log.loss, log.metrics) for log in expected.logs]
