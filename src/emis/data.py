@@ -321,6 +321,8 @@ class SynthSpec:
     modifier_align: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise SpecInvalid(f"seed must be >= 0, got {self.seed}")
         if self.n_attributes < 1 or self.dim_i < 1 or self.dim_t < 1:
             raise SpecInvalid("attribute and embedding dims must be positive")
         if self.dim_i < self.n_attributes:

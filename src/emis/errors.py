@@ -26,7 +26,15 @@ class ShapeMismatch(EmisError):
 
 
 class NearZeroNorm(EmisError):
-    """A vector that must be normalized has norm <= 1e-12 or NaN."""
+    """A vector that must be normalized has norm <= 1e-12 or NaN.
+
+    ``row`` is the row of the first such norm when a block of norms was
+    guarded.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class NonFiniteGradient(EmisError):

@@ -263,9 +263,10 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
             block = pairwise_scores(normalize_rows(corpus.refs.data[ref_rows[lo:hi]]),
                                     normalize_rows(corpus.mods.data[mod_rows[lo:hi]]),
                                     gallery, params, flavor)
-        except NearZeroNorm:
+        except NearZeroNorm as exc:
             raise_zero_norm_row(corpus, queries, lo, refs=ref_rows[lo:hi], mods=mod_rows[lo:hi])
-            raise
+            q = queries[lo + exc.row]
+            raise NearZeroNorm(f"query {lo + exc.row} ({q.ref_id}, {q.mod_id}): {exc}") from None
         nan_rows = np.flatnonzero(np.isnan(block.max(axis=1)))
         if nan_rows.size:
             bad = lo + int(nan_rows[0])

@@ -62,7 +62,7 @@ class RunConfig:
     h_hidden: int = 0  # 0 means "match the target bank width"
 
     def __post_init__(self) -> None:
-        for key, smallest in (("block_size", 1), ("workers", 1), ("h_hidden", 0)):
+        for key, smallest in (("block_size", 1), ("workers", 1), ("h_hidden", 0), ("seed", 0)):
             if getattr(self, key) < smallest:
                 raise ConfigError(f"{key} must be >= {smallest}, got {getattr(self, key)!r}")
 
@@ -190,9 +190,12 @@ def resolve_dims(config: RunConfig, corpus: Corpus) -> HeadDims:
 
 def write_synthetic(spec: SynthSpec, out_dir) -> dict[str, str]:
     """Generate the synthetic benchmark and write every artifact file."""
-    corpus, triplets, info = generate_synthetic(spec)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"out path {str(out_dir)!r} is not a directory") from None
+    corpus, triplets, info = generate_synthetic(spec)
     paths = {
         "refs": out / "refs.afb", "mods": out / "mods.afb",
         "targets": out / "targets.afb", "triplets": out / "triplets.jsonl",
@@ -287,6 +290,8 @@ class BenchConfig:
                   self.h_hidden, self.repeats, self.block_size)
         if min(values) < 1:
             raise ConfigError(f"bench settings must be positive, got {self}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -486,6 +491,8 @@ def gradient_check_suite(n_small: int = 104, n_large: int = 3, batch: int = 4,
     reaches ~1e-4 relative on softmax-heavy paths and would drown the
     tolerance this suite certifies.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     summary = GradCheckSummary()
     for i in range(n_small):
         kind = CHECK_KINDS[i % len(CHECK_KINDS)]

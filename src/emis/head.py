@@ -12,7 +12,10 @@ accepts either plain float64 arrays (fast evaluation path) or tape
 ``Var`` parameters (training path), so the trained and the evaluated
 function are literally the same code. It composes three phases (query
 encoding, gallery preparation, scoring) that the latency benchmark
-times individually.
+times individually. The attention flavors score plain arrays one tile
+of ``SCORE_TILE`` gallery rows at a time, so a block's peak memory is
+its (Q, G) result plus tile-sized temporaries; the pair-norm guard runs
+per tile.
 
 Plain-array parameter blocks are views into one float64 vector.
 """
@@ -36,6 +39,11 @@ Array = np.ndarray
 
 GAMMA_INIT = 10.0
 GAMMA_MIN = 1e-3
+
+# Gallery rows per scoring tile for the attention flavors. A multiple of
+# 8, so each tile's gemm columns are bit-identical to the whole-gallery
+# gemm's on the OpenBLAS kernels measured (other widths moved last bits).
+SCORE_TILE = 2048
 
 
 class Flavor(Enum):
@@ -287,16 +295,8 @@ def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
     return GalleryState(tn=tn)
 
 
-def scores_from_state(queries: QueryState, gallery: GalleryState):
-    """Scoring phase: one gated product per active branch."""
-    tn = gallery.tn
-    if queries.plain is not None:
-        return queries.plain @ tn.T
-
-    if gallery.tn_sq is None:
-        raise ShapeMismatch(f"gallery state lacks squares needed by {queries.flavor}")
-    tn_sq = gallery.tn_sq
-
+def _gated_scores(queries: QueryState, tn, tn_sq):
+    """Attention-flavor scores of every query against the rows ``tn``."""
     def gated(x, sq):
         pair_norm = ad.sqrt(sq @ tn_sq.T)   # (Q,G)  ||a*t|| on unit t rows
         guard_norms(pair_norm, "attention-weighted candidate")
@@ -307,6 +307,30 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
     if queries.flavor is Flavor.EM_ONLY:
         return gated(queries.y_em, queries.sq_em)
     return gated(queries.y_em, queries.sq_em) + gated(queries.x_is, queries.sq_is)
+
+
+def scores_from_state(queries: QueryState, gallery: GalleryState):
+    """Scoring phase: one gated product per active branch.
+
+    Plain-array attention states are scored ``SCORE_TILE`` gallery rows
+    at a time into one (Q, G) result, so every other (Q, G)-shaped
+    temporary is only a tile wide. Tape states are scored whole.
+    """
+    tn = gallery.tn
+    if queries.plain is not None:
+        return queries.plain @ tn.T
+
+    if gallery.tn_sq is None:
+        raise ShapeMismatch(f"gallery state lacks squares needed by {queries.flavor}")
+    tn_sq = gallery.tn_sq
+    sq = queries.sq_is if queries.sq_is is not None else queries.sq_em
+    if isinstance(sq, Var):
+        return _gated_scores(queries, tn, tn_sq)
+    out = np.empty((sq.shape[0], tn.shape[0]))
+    for lo in range(0, tn.shape[0], SCORE_TILE):
+        hi = lo + SCORE_TILE
+        out[:, lo:hi] = _gated_scores(queries, tn[lo:hi], tn_sq[lo:hi])
+    return out
 
 
 def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,

@@ -24,12 +24,17 @@ NORM_EPS = 1e-12
 
 
 def guard_norms(norms, what: str) -> None:
-    """Raise ``NearZeroNorm`` unless every norm (array or tape Var) is > NORM_EPS."""
+    """Raise ``NearZeroNorm`` unless every norm (array or tape Var) is > NORM_EPS.
+
+    The error carries the row of the first failing norm of a block.
+    """
     # min() propagates NaN and NaN > eps is False, so NaN fails the guard
     # too; the inf start lets zero rows through.
-    smallest = float(value_of(norms).min(initial=np.inf))
+    values = value_of(norms)
+    smallest = float(values.min(initial=np.inf))
     if not smallest > NORM_EPS:
-        raise NearZeroNorm(f"{what} has norm {smallest!r}")
+        row = int(np.argwhere(~(np.atleast_1d(values) > NORM_EPS))[0, 0])
+        raise NearZeroNorm(f"{what} has norm {smallest!r}", row=row)
 
 
 def normalize_rows(x: Array) -> Array:

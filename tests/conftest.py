@@ -28,6 +28,15 @@ def random_params(dims: HeadDims, seed: int) -> HeadParams:
     return init_params(dims, seed=seed)
 
 
+def one_hot_attention_params(dim: int) -> HeadParams:
+    """A head whose attention, for a one-hot modifier e_k, is exactly e_k."""
+    params = init_params(HeadDims(dim, dim, dim), seed=0)
+    for branch in (params.attn_is, params.attn_em):
+        branch.w1[...] = np.eye(dim)
+        branch.w2[...] = 1e4 * np.eye(dim)   # the other logits' exp underflows to 0
+    return params
+
+
 def assert_one_flat_buffer(params: HeadParams) -> None:
     """Every block is a C-contiguous view, laid end to end in block order."""
     blocks = [b for _, b in param_blocks(params)]

@@ -13,12 +13,17 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from emis import harness
 from emis.cli import build_parser, main
-from emis.data import ids_sidecar
+from emis.data import (FeatureBank, TripletRecord, TripletSet, ids_sidecar,
+                       write_feature_bank, write_triplets)
 from emis.harness import RunConfig, make_run_config
-from emis.head import Flavor, HeadDims, init_params, save_checkpoint
+from emis.head import SCORE_TILE, Flavor, HeadDims, init_params, save_checkpoint
+
+from conftest import one_hot_attention_params
 
 SYNTH_FLAGS = ["--seed", "1", "--n-train", "48", "--n-eval", "5",
                "--n-val", "3", "--gallery-size", "250"]
@@ -360,6 +365,68 @@ def test_bad_run_settings_are_config_errors(dataset, tmp_path, capsys, flag, val
     assert code == 2
     assert f"{flag[2:].replace('-', '_')} must be >= " in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "bench", "synth", "gradcheck"])
+def test_negative_seed_is_a_config_error_before_any_work(dataset, tmp_path, capsys, command):
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(64, 64, 64), seed=0), ckpt)
+    argv = {"train": ["--config", cfg, "--checkpoint", str(tmp_path / "out.ahp")],
+            "eval": ["--config", cfg, "--checkpoint", str(ckpt)],
+            "ablate": ["--config", cfg, "--quiet"],
+            "bench": ["--queries", "4", "--gallery", "8", "--dim", "8", "--repeats", "1",
+                      "--block-size", "4"],
+            "synth": ["--out", str(tmp_path / "corpus")] + SYNTH_FLAGS[2:],
+            "gradcheck": ["--instances", "1", "--large-instances", "0"]}[command]
+    code, out, err = run_cli(capsys, command, *argv, "--seed", "-2")
+    assert code == 2
+    assert err == "config error: seed must be >= 0, got -2\n"
+    assert out == ""
+    assert not (tmp_path / "out.ahp").exists() and not (tmp_path / "corpus").exists()
+
+
+def test_synth_onto_an_existing_file_is_a_config_error_before_generating(tmp_path, capsys,
+                                                                          monkeypatch):
+    def refuse(spec):
+        raise AssertionError("generated a corpus")
+
+    monkeypatch.setattr(harness, "generate_synthetic", refuse)
+    target = tmp_path / "refs.afb"
+    target.write_bytes(b"kept")
+    for out_path in (target, target / "sub"):
+        code, out, err = run_cli(capsys, "synth", "--out", str(out_path), *SYNTH_FLAGS)
+        assert code == 2
+        assert "config error" in err and str(out_path) in err and "Traceback" not in err
+        assert out == ""
+    assert target.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("flavor", ["is_only", "em_only", "artemis"])
+def test_eval_names_the_query_of_a_zero_pair_norm_in_the_last_tile(tmp_path, capsys, flavor):
+    """Query 2 attends to dimension 0 alone, and one candidate past two full
+    tiles is zero there: their pair norm is 0, and no other pair's is."""
+    dim, n_gallery = 8, 2 * SCORE_TILE + 5
+    rng = np.random.default_rng(0)
+    targets = np.abs(rng.standard_normal((n_gallery, dim))) + 0.1
+    targets[-3, 0] = 0.0
+    ids = {"refs": [f"r{i}" for i in range(3)], "mods": [f"m{i}" for i in range(3)],
+           "targets": [f"t{i:05d}" for i in range(n_gallery)]}
+    rows = {"refs": rng.standard_normal((3, dim)), "mods": np.eye(dim)[[2, 3, 0]],
+            "targets": targets}
+    for name in ids:
+        write_feature_bank(FeatureBank(ids[name], rows[name]), tmp_path / f"{name}.afb")
+    write_triplets(TripletSet([TripletRecord(f"r{i}", f"m{i}", f"t{i:05d}", "test")
+                               for i in range(3)]), tmp_path / "triplets.jsonl")
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(one_hot_attention_params(dim), ckpt)
+    argv = [f"--{name}={tmp_path / f'{name}.afb'}" for name in ids]
+    code, out, err = run_cli(capsys, "eval", *argv, "--triplets",
+                             str(tmp_path / "triplets.jsonl"), "--flavor", flavor,
+                             "--checkpoint", str(ckpt))
+    assert code == 3
+    assert err == "error: query 2 (r2, m2): attention-weighted candidate has norm 0.0\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("command, flag, problem", [

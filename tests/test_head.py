@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from emis.errors import (BadMagic, ConfigError, DataError, NearZeroNorm, NonFini
                          ShapeMismatch, TruncatedFile)
 from emis.head import (
     BLOCK_NAMES,
+    SCORE_TILE,
     Flavor,
     HeadDims,
     block_shapes,
@@ -28,7 +30,8 @@ from emis.head import (
     vector_to_params,
 )
 
-from conftest import assert_one_flat_buffer, corruptions, oracle_from_params, unit_rows
+from conftest import (assert_one_flat_buffer, corruptions, one_hot_attention_params,
+                      oracle_from_params, unit_rows)
 
 FLAVORS = list(Flavor)
 
@@ -234,6 +237,69 @@ def test_pairwise_accepts_tape_vars():
     tape.backward(var.sum())
     grads = gradients_of(lifted, tape)
     assert np.all(np.isfinite(params_to_vector(grads)))
+
+
+ATTENTION_FLAVORS = [Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS]
+
+
+@pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
+def test_tiled_scores_match_oracle_and_tape_in_every_tile(flavor):
+    """A gallery of two full tiles and a ragged one scores as one whole block."""
+    dims = HeadDims(8, 8, 8)
+    params = init_params(dims, seed=11)
+    r_rows, m_rows, t_rows = _toy_batch(dims, 3, 2 * SCORE_TILE + 5, seed=11)
+    got = pairwise_scores(r_rows, m_rows, t_rows, params, flavor)
+    assert got.shape == (3, 2 * SCORE_TILE + 5)
+    oracle = oracle_from_params(params)
+    cols = [0, 1, SCORE_TILE - 1, SCORE_TILE, SCORE_TILE + 777,
+            2 * SCORE_TILE - 1, 2 * SCORE_TILE, 2 * SCORE_TILE + 4]
+    for i in range(3):
+        for j in cols:
+            want = oracle.score(flavor.value, r_rows[i].tolist(), m_rows[i].tolist(),
+                                t_rows[j].tolist())
+            assert got[i, j] == pytest.approx(want, abs=1e-10)
+    tape = Tape()
+    var = pairwise_scores(r_rows, m_rows, t_rows, lift_params(params, tape), flavor)
+    assert np.array_equal(var.value, got)
+
+
+@pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
+def test_pair_norm_guard_fires_in_the_last_tile(flavor):
+    dim = 8
+    params = one_hot_attention_params(dim)
+    rng = np.random.default_rng(5)
+    t_rows = np.abs(rng.standard_normal((2 * SCORE_TILE + 5, dim))) + 0.1
+    t_rows[-2, 0] = 0.0   # unseen by attention on dim 0 only
+    state = encode_queries(rng.standard_normal((3, dim)), np.eye(dim)[[2, 3, 0]],
+                           params, flavor)
+    gallery = prepare_gallery(t_rows, params.dims, flavor)
+    with pytest.raises(NearZeroNorm, match="attention-weighted candidate has norm 0.0") as err:
+        scores_from_state(state, gallery)
+    assert err.value.row == 2
+    gallery = prepare_gallery(np.abs(rng.standard_normal((2 * SCORE_TILE + 5, dim))) + 0.1,
+                              params.dims, flavor)
+    scores_from_state(state, gallery)
+    gallery.tn_sq[-1, 4] = np.nan
+    with pytest.raises(NearZeroNorm, match="nan") as err:
+        scores_from_state(state, gallery)
+    assert err.value.row == 0
+
+
+def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
+    """Every (Q, G) temporary but the result is at most a tile wide."""
+    dims = HeadDims(8, 8, 8)
+    params = init_params(dims, seed=3)
+    r_rows, m_rows, t_rows = _toy_batch(dims, 64, 8 * SCORE_TILE + 5, seed=3)
+    state = encode_queries(r_rows, m_rows, params, Flavor.ARTEMIS)
+    gallery = prepare_gallery(t_rows, dims, Flavor.ARTEMIS)
+    tracemalloc.start()
+    try:
+        scores = scores_from_state(state, gallery)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    q, g = scores.shape
+    assert peak <= q * g * 8 + 8 * q * SCORE_TILE * 8
 
 
 def test_width_guards():
