@@ -7,6 +7,11 @@ float64 numpy arrays; each operation appends its output node to a
 ``Tape``, so creation order is already a topological order and the
 backward pass is a single reverse sweep.
 
+The tape holds its nodes by weak reference; each node holds its parents
+strongly. So a graph lives exactly as long as its root (or a node the
+caller keeps), and is freed by reference counting when that goes, with
+no cycle left for the garbage collector.
+
 Module-level helpers (``relu``, ``square``, ``sqrt``, ``sum_rows``,
 ``softmax_rows``, ``logsumexp_rows``, ``diag_part``) dispatch on
 ``Var`` vs plain ndarray, so forward-only callers pay no tape overhead
@@ -15,6 +20,7 @@ while training code reuses the same formulas.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -41,7 +47,7 @@ class Tape:
     """Records nodes in creation order; ``backward`` sweeps them once."""
 
     def __init__(self) -> None:
-        self._nodes: list[Var] = []
+        self._nodes: list[weakref.ref[Var]] = []
 
     def leaf(self, value) -> "Var":
         return Var(np.asarray(value, dtype=np.float64), self)
@@ -49,10 +55,13 @@ class Tape:
     def backward(self, root: "Var") -> None:
         if root.value.size != 1:
             raise ShapeMismatch(f"backward root must be scalar, got shape {root.value.shape}")
-        for node in self._nodes:
+        # A dead node cannot be an ancestor of the live root: children hold
+        # their parents. Creation order fixes every gradient sum's order.
+        nodes = [node for ref in self._nodes if (node := ref()) is not None]
+        for node in nodes:
             node.grad = None
         root.grad = np.ones_like(root.value)
-        for node in reversed(self._nodes):
+        for node in reversed(nodes):
             g = node.grad
             if g is None:
                 continue
@@ -82,7 +91,7 @@ class Var:
 
     # Keep numpy from hijacking `ndarray <op> Var`; defer to our __r*__ methods.
     __array_ufunc__ = None
-    __slots__ = ("value", "grad", "_parents", "_vjps", "_tape")
+    __slots__ = ("value", "grad", "_parents", "_vjps", "_tape", "__weakref__")
 
     def __init__(self, value: Array, tape: Tape,
                  parents: tuple["Var", ...] = (),
@@ -92,7 +101,7 @@ class Var:
         self._parents = parents
         self._vjps = vjps
         self._tape = tape
-        tape._nodes.append(self)
+        tape._nodes.append(weakref.ref(self))
 
     # -- arithmetic ----------------------------------------------------------
 

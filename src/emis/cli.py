@@ -278,16 +278,20 @@ def cmd_inspect_bank(args: argparse.Namespace) -> int:
     info = {
         "path": args.path, "rows": bank.n, "dim": bank.dim,
         "dtype": "float32 little-endian",
-        "row_norm_min": float(norms.min()), "row_norm_max": float(norms.max()),
-        "row_norm_mean": float(norms.mean()),
+        "row_norm_min": float(norms.min()) if bank.n else None,
+        "row_norm_max": float(norms.max()) if bank.n else None,
+        "row_norm_mean": float(norms.mean()) if bank.n else None,
         "first_ids": bank.ids[:5],
     }
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
     else:
         print(f"{args.path}: {bank.n} rows x {bank.dim} dims (float32 LE)")
-        print(f"row norms: min {info['row_norm_min']:.6f}, "
-              f"mean {info['row_norm_mean']:.6f}, max {info['row_norm_max']:.6f}")
+        if bank.n:
+            print(f"row norms: min {info['row_norm_min']:.6f}, "
+                  f"mean {info['row_norm_mean']:.6f}, max {info['row_norm_max']:.6f}")
+        else:
+            print("row norms: no rows")
         print("first ids: " + ", ".join(info["first_ids"]))
     return 0
 

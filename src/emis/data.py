@@ -20,6 +20,7 @@ a distinct, measurable way.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -330,8 +331,8 @@ class SynthSpec:
                               "owns at least one image dimension")
         if not 0 <= self.flip_count < self.n_attributes:
             raise SpecInvalid("need 0 <= flip_count < n_attributes")
-        if self.noise_sigma < 0:
-            raise SpecInvalid("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise SpecInvalid(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.n_train < 1 or self.n_eval < 1 or self.n_val < 0:
             raise SpecInvalid("need n_train >= 1, n_eval >= 1, n_val >= 0")
         if not 0.0 <= self.hard_fraction <= 1.0:

@@ -10,6 +10,7 @@ suite verifies tape gradients against central differences.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -493,6 +494,11 @@ def gradient_check_suite(n_small: int = 104, n_large: int = 3, batch: int = 4,
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if n_small < 0 or n_large < 0 or n_small + n_large == 0:
+        raise ConfigError(f"instance counts must be >= 0 with at least one instance, "
+                          f"got {n_small} small and {n_large} large")
+    if not 0.0 < tol < math.inf:  # written so that NaN fails it
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     summary = GradCheckSummary()
     for i in range(n_small):
         kind = CHECK_KINDS[i % len(CHECK_KINDS)]

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +117,27 @@ def test_gradient_accumulates_over_reuse():
     out = (a * a).sum()       # d/da (a^2) = 2a
     tape.backward(out)
     np.testing.assert_allclose(tape.gradient(a), [4.0, 6.0])
+
+
+def test_dropped_graph_is_freed_without_the_collector():
+    gc.disable()
+    try:
+        tape = Tape()
+        a = tape.leaf(np.array([2.0, -3.0]))
+        hidden = (a * a).relu()
+        probe = weakref.ref(hidden)
+        out = hidden.sum()
+        del hidden
+        tape.backward(out)
+        np.testing.assert_allclose(tape.gradient(a), [4.0, -6.0])
+        assert probe() is not None          # its child `out` still holds it
+        del out
+        assert probe() is None
+        out = (a * 3.0).sum()               # the next sweep skips the dead nodes
+        tape.backward(out)
+        np.testing.assert_allclose(tape.gradient(a), [3.0, 3.0])
+    finally:
+        gc.enable()
 
 
 def test_backward_requires_scalar_root():

@@ -543,6 +543,47 @@ def test_gradcheck_passes_and_fails(capsys):
     assert "check failed" in err
 
 
+@pytest.mark.parametrize("counts", [("-1", "0"), ("1", "-1"), ("0", "0")])
+def test_gradcheck_instance_counts_are_config_errors(capsys, counts):
+    code, out, err = run_cli(capsys, "gradcheck", "--instances", counts[0],
+                             "--large-instances", counts[1])
+    assert code == 2
+    assert "config error" in err and "instance" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_gradcheck_tolerance_out_of_range_is_config_error(capsys, tol):
+    code, out, err = run_cli(capsys, "gradcheck", "--instances", "1",
+                             "--large-instances", "0", "--tol", tol)
+    assert code == 2
+    assert "config error" in err and "tol" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
+def test_synth_non_finite_noise_sigma_is_config_error(tmp_path, capsys, sigma):
+    code, _, err = run_cli(capsys, "synth", "--out", str(tmp_path / "d"),
+                           "--noise-sigma", sigma, *SYNTH_FLAGS)
+    assert code == 2
+    assert "noise_sigma" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_inspect_bank_with_zero_rows(tmp_path, capsys):
+    path = tmp_path / "empty.afb"
+    write_feature_bank(FeatureBank(ids=[], data=np.zeros((0, 8), dtype=np.float32)), path)
+    code, out, _ = run_cli(capsys, "inspect-bank", str(path))
+    assert code == 0
+    assert "0 rows x 8 dims" in out and "no rows" in out
+    code, out, _ = run_cli(capsys, "inspect-bank", str(path), "--json")
+    assert code == 0
+    info = json.loads(out)
+    assert info["rows"] == 0 and info["dim"] == 8 and info["first_ids"] == []
+    assert info["row_norm_min"] is None
+    assert info["row_norm_max"] is None and info["row_norm_mean"] is None
+
+
 def test_bench_tiny(tmp_path, capsys):
     report = tmp_path / "bench.json"
     code, out, _ = run_cli(capsys, "bench", "--queries", "32", "--gallery",

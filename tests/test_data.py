@@ -383,8 +383,9 @@ def test_synth_spec_validation():
         SynthSpec(dim_i=8)  # fewer image dims than attributes
     with pytest.raises(SpecInvalid):
         SynthSpec(flip_count=12)
-    with pytest.raises(SpecInvalid):
-        SynthSpec(noise_sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(SpecInvalid):
+            SynthSpec(noise_sigma=sigma)
     with pytest.raises(SpecInvalid):
         SynthSpec(modifier_align=1.5)
     with pytest.raises(SpecInvalid):
