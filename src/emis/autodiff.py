@@ -2,7 +2,8 @@
 
 Covers exactly what the scoring head and its loss need: broadcast
 arithmetic, matmul, relu, squares and square roots, reductions, row
-softmax, row logsumexp, and diagonal extraction. Values are eager
+softmax, row logsumexp, diagonal extraction, and the slices and
+reshapes that split one flat parameter vector. Values are eager
 float64 numpy arrays; each operation appends its output node to a
 ``Tape``, so creation order is already a topological order and the
 backward pass is a single reverse sweep.
@@ -118,9 +119,6 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Var(-self.value, self._tape, (self,), (lambda g: -g,))
-
     def __sub__(self, other):
         if isinstance(other, Var):
             tape = _tape_of(self, other)
@@ -131,11 +129,6 @@ class Var:
         c = np.asarray(other, dtype=np.float64)
         a = self.value
         return Var(a - c, self._tape, (self,), (lambda g: _unbroadcast(g, a.shape),))
-
-    def __rsub__(self, other):
-        c = np.asarray(other, dtype=np.float64)
-        a = self.value
-        return Var(c - a, self._tape, (self,), (lambda g: _unbroadcast(-g, a.shape),))
 
     def __mul__(self, other):
         if isinstance(other, Var):
@@ -160,12 +153,6 @@ class Var:
         c = np.asarray(other, dtype=np.float64)
         a = self.value
         return Var(a / c, self._tape, (self,), (lambda g: _unbroadcast(g / c, a.shape),))
-
-    def __rtruediv__(self, other):
-        c = np.asarray(other, dtype=np.float64)
-        a = self.value
-        return Var(c / a, self._tape, (self,),
-                   (lambda g: _unbroadcast(-g * c / (a * a), a.shape),))
 
     def __matmul__(self, other):
         if isinstance(other, Var):
@@ -210,10 +197,6 @@ class Var:
             return np.broadcast_to(gg, x.shape).copy()
 
         return Var(out, self._tape, (self,), (vjp,))
-
-    @property
-    def T(self):
-        return Var(self.value.T, self._tape, (self,), (lambda g: g.T,))
 
     def softmax_rows(self):
         x = self.value

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -134,10 +135,21 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, default=None, help=argparse.SUPPRESS)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
     file_settings = read_config_file(args.config) if args.config else None
     overrides = {name: getattr(args, name) for name in RUN_KEY_TYPES if hasattr(args, name)}
-    return make_run_config(file_settings, overrides)
+    config = make_run_config(file_settings, overrides)
+    # Eval's thread pool may start one thread per block; extra ones only cost memory.
+    cpus = usable_cpus()
+    if config.workers > cpus:
+        raise ConfigError(f"workers must be <= {cpus}, the CPUs this process may use, "
+                          f"got {config.workers!r}")
+    return config
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -209,6 +221,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     require_output_path("metrics-out", args.metrics_out)
     corpus, triplets = load_dataset(config)
     params = load_checkpoint(config.checkpoint)
+    if config.h_hidden and config.h_hidden != params.dims.h_hidden:
+        raise ConfigError(f"h_hidden {config.h_hidden} contradicts the checkpoint's "
+                          f"h_hidden {params.dims.h_hidden}")
     queries = queries_from_triplets(triplets, config.split, config.exclude_ref)
     report = evaluate(queries, corpus, params, config.parsed_flavor(),
                       block_size=config.block_size, workers=config.workers,
@@ -272,9 +287,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+INSPECT_ROWS = 1024   # bank rows per step of inspect-bank's float64 norm loop
+
+
 def cmd_inspect_bank(args: argparse.Namespace) -> int:
     bank = read_feature_bank(args.path)
-    norms = np.linalg.norm(bank.data.astype(np.float64), axis=1)
+    norms = np.empty(bank.n)   # widened a chunk at a time, never the whole bank
+    for lo in range(0, bank.n, INSPECT_ROWS):
+        rows = bank.data[lo:lo + INSPECT_ROWS].astype(np.float64)
+        norms[lo:lo + INSPECT_ROWS] = np.linalg.norm(rows, axis=1)
     info = {
         "path": args.path, "rows": bank.n, "dim": bank.dim,
         "dtype": "float32 little-endian",

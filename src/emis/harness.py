@@ -23,8 +23,8 @@ from .data import (Corpus, SynthSpec, TripletSet, generate_synthetic,
 from .errors import ConfigError
 from .evaluation import (MetricReport, evaluate, queries_from_triplets,
                          round_half_up)
-from .head import (Flavor, HeadDims, HeadParams, encode_queries, init_params,
-                   pairwise_scores, param_count, prepare_gallery,
+from .head import (ATTENTION_FLAVORS, Flavor, HeadDims, HeadParams, encode_queries,
+                   init_params, pairwise_scores, param_count, prepare_gallery,
                    scores_from_state, vector_to_params)
 from .numerics import finite_diff_check, normalize_rows
 from .training import TrainConfig, bbc_loss_from_scores, train
@@ -212,9 +212,6 @@ def write_synthetic(spec: SynthSpec, out_dir) -> dict[str, str]:
 
 # -- ablation ------------------------------------------------------------------
 
-PARAM_FREE_FLAVORS = (Flavor.IMAGE_ONLY, Flavor.TEXT_ONLY, Flavor.LATE_FUSION)
-
-
 def run_ablation(config: RunConfig, corpus: Corpus | None = None,
                  triplets: TripletSet | None = None,
                  log: Callable[[str], None] | None = None) -> list[MetricReport]:
@@ -232,12 +229,11 @@ def run_ablation(config: RunConfig, corpus: Corpus | None = None,
     base = config.train_config()
     reports: list[MetricReport] = []
     for flavor in Flavor:
-        if flavor in PARAM_FREE_FLAVORS:
+        if flavor not in ATTENTION_FLAVORS:
             params = init_params(dims, base.seed)
         else:
-            result = train(triplets, corpus, replace(base, flavor=flavor),
-                           dims=dims, monitor=())
-            params = result.params
+            params = train(triplets, corpus, replace(base, flavor=flavor),
+                           dims=dims, monitor=()).params
         report = evaluate(queries, corpus, params, flavor,
                           block_size=config.block_size, workers=config.workers)
         reports.append(report)

@@ -12,10 +12,12 @@ accepts either plain float64 arrays (fast evaluation path) or tape
 ``Var`` parameters (training path), so the trained and the evaluated
 function are literally the same code. It composes three phases (query
 encoding, gallery preparation, scoring) that the latency benchmark
-times individually. The attention flavors score plain arrays one tile
-of ``SCORE_TILE`` gallery rows at a time, so a block's peak memory is
-its (Q, G) result plus tile-sized temporaries; the pair-norm guard runs
-per tile.
+times individually. Both attention scores have one form, the attended
+cosine cos(u, a * t), so a query is a list of channels that scoring
+sums without asking which flavor built them. Plain-array attention
+states are scored one tile of ``SCORE_TILE`` gallery rows at a time, so
+a block's peak memory is its (Q, G) result plus tile-sized temporaries;
+the pair-norm guard runs per tile.
 
 Plain-array parameter blocks are views into one float64 vector.
 """
@@ -63,6 +65,11 @@ class Flavor(Enum):
         except ValueError:
             valid = ", ".join(f.value for f in cls)
             raise ConfigError(f"unknown flavor {name!r}; expected one of {valid}") from None
+
+
+# Flavors whose scores go through the attention branches; the others have
+# no parameters reachable from their scores.
+ATTENTION_FLAVORS = (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS)
 
 
 @dataclass(frozen=True)
@@ -195,28 +202,22 @@ def attention_rows(m_rows: Array, branch: AttentionParams):
 class QueryState:
     """Per-query vectors computed once and reused across all candidates.
 
-    For the attention flavors the cosine denominator splits into a
-    query-only factor (folded into ``x_is`` / ``y_em``) and a bilinear
-    factor sqrt(a^2 . t^2) evaluated at scoring time from the squared
-    attention rows.
+    A candidate row ``t`` (unit norm) scores the sum over ``channels`` of
+    ``x . t``, divided by sqrt(sq . t^2) when ``sq`` is set. An attended
+    cosine cos(u, a * t) is the channel x = (u * a) / ||u||, sq = a^2;
+    the param-free flavors are one channel of normalized query rows with
+    ``sq`` None.
     """
 
     flavor: Flavor
     n_queries: int
-    plain: object | None = None   # normalized query rows, param-free flavors
-    x_is: object | None = None    # (a_is * a_is * r) / ||a_is * r||
-    sq_is: object | None = None   # a_is ** 2
-    y_em: object | None = None    # (T(m) * a_em) / ||T(m)||
-    sq_em: object | None = None   # a_em ** 2
+    channels: list[tuple[object, object | None]]
 
     def slice_rows(self, start: int, stop: int) -> "QueryState":
         """View of queries [start, stop); plain-array states only."""
-        def cut(v):
-            return None if v is None else v[start:stop]
-        return QueryState(flavor=self.flavor, n_queries=max(stop - start, 0),
-                          plain=cut(self.plain), x_is=cut(self.x_is),
-                          sq_is=cut(self.sq_is), y_em=cut(self.y_em),
-                          sq_em=cut(self.sq_em))
+        return QueryState(self.flavor, max(stop - start, 0),
+                          [(x[start:stop], None if sq is None else sq[start:stop])
+                           for x, sq in self.channels])
 
 
 @dataclass
@@ -248,34 +249,33 @@ def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryS
     n = r_rows.shape[0]
 
     if flavor is Flavor.IMAGE_ONLY:
-        return QueryState(flavor, n, plain=normalize_rows(r_rows))
+        return QueryState(flavor, n, [(normalize_rows(r_rows), None)])
     if flavor is Flavor.TEXT_ONLY:
         if dims.h_t != dims.h_i:
             raise ShapeMismatch("text_only needs h_t == h_i (raw modifier/candidate cosine)")
-        return QueryState(flavor, n, plain=normalize_rows(m_rows))
+        return QueryState(flavor, n, [(normalize_rows(m_rows), None)])
     if flavor is Flavor.LATE_FUSION:
         if dims.h_t != dims.h_i:
             raise ShapeMismatch("late_fusion needs h_t == h_i (sums reference and modifier)")
-        return QueryState(flavor, n, plain=normalize_rows(r_rows + m_rows))
-    if flavor not in (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS):
+        return QueryState(flavor, n, [(normalize_rows(r_rows + m_rows), None)])
+    if flavor not in ATTENTION_FLAVORS:
         raise ShapeMismatch(f"unhandled flavor {flavor}")
 
-    state = QueryState(flavor, n)
-    if flavor in (Flavor.IS_ONLY, Flavor.ARTEMIS):
+    def channel(u, a, what: str):
+        """The query side of cos(u, a * t): (u * a) / ||u|| and a^2."""
+        query_norm = ad.sqrt(ad.sum_rows(ad.square(u)))   # (Q,1)  ||u||
+        guard_norms(query_norm, what)
+        return (u * a) / query_norm, ad.square(a)
+
+    channels = []
+    if flavor is not Flavor.EM_ONLY:   # IS: u = a_is * r
         a = attention_rows(m_rows, params.attn_is)
-        ar = a * r_rows
-        query_norm = ad.sqrt(ad.sum_rows(ad.square(ar)))   # (Q,1)  ||a*r||
-        guard_norms(query_norm, "attention-weighted reference")
-        state.x_is = (a * ar) / query_norm
-        state.sq_is = ad.square(a)
-    if flavor in (Flavor.EM_ONLY, Flavor.ARTEMIS):
+        channels.append(channel(a * r_rows, a, "attention-weighted reference"))
+    if flavor is not Flavor.IS_ONLY:   # EM: u = T(m)
         a = attention_rows(m_rows, params.attn_em)
-        p = m_rows @ params.proj_w + params.proj_b
-        query_norm = ad.sqrt(ad.sum_rows(ad.square(p)))    # (Q,1)  ||T(m)||
-        guard_norms(query_norm, "projected modifier")
-        state.y_em = (p * a) / query_norm
-        state.sq_em = ad.square(a)
-    return state
+        channels.append(channel(m_rows @ params.proj_w + params.proj_b, a,
+                                "projected modifier"))
+    return QueryState(flavor, n, channels)
 
 
 def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
@@ -290,46 +290,44 @@ def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
     if t_rows.shape[1] != dims.h_i:
         raise ShapeMismatch(f"candidate width {t_rows.shape[1]} vs h_i {dims.h_i}")
     tn = normalize_rows(t_rows)
-    if flavor in (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS):
+    if flavor in ATTENTION_FLAVORS:
         return GalleryState(tn=tn, tn_sq=tn * tn)
     return GalleryState(tn=tn)
 
 
-def _gated_scores(queries: QueryState, tn, tn_sq):
-    """Attention-flavor scores of every query against the rows ``tn``."""
-    def gated(x, sq):
+def _channel_scores(channels, tn, tn_sq):
+    """Sum over channels of every query's score against the rows ``tn``."""
+    def score(x, sq):   # a function, so each channel's temporaries die with it
+        if sq is None:
+            return x @ tn.T
         pair_norm = ad.sqrt(sq @ tn_sq.T)   # (Q,G)  ||a*t|| on unit t rows
         guard_norms(pair_norm, "attention-weighted candidate")
         return (x @ tn.T) / pair_norm
 
-    if queries.flavor is Flavor.IS_ONLY:
-        return gated(queries.x_is, queries.sq_is)
-    if queries.flavor is Flavor.EM_ONLY:
-        return gated(queries.y_em, queries.sq_em)
-    return gated(queries.y_em, queries.sq_em) + gated(queries.x_is, queries.sq_is)
+    total = score(*channels[0])
+    for x, sq in channels[1:]:
+        total = total + score(x, sq)
+    return total
 
 
 def scores_from_state(queries: QueryState, gallery: GalleryState):
-    """Scoring phase: one gated product per active branch.
+    """Scoring phase: the channel sum of ``queries`` against the gallery.
 
-    Plain-array attention states are scored ``SCORE_TILE`` gallery rows
-    at a time into one (Q, G) result, so every other (Q, G)-shaped
-    temporary is only a tile wide. Tape states are scored whole.
+    Plain-array gated states are scored ``SCORE_TILE`` gallery rows at a
+    time into one (Q, G) result, so every other (Q, G)-shaped temporary
+    is only a tile wide. Tape states and the ungated gemm are scored
+    whole.
     """
-    tn = gallery.tn
-    if queries.plain is not None:
-        return queries.plain @ tn.T
-
-    if gallery.tn_sq is None:
+    channels, tn, tn_sq = queries.channels, gallery.tn, gallery.tn_sq
+    gated = any(sq is not None for _, sq in channels)
+    if gated and tn_sq is None:
         raise ShapeMismatch(f"gallery state lacks squares needed by {queries.flavor}")
-    tn_sq = gallery.tn_sq
-    sq = queries.sq_is if queries.sq_is is not None else queries.sq_em
-    if isinstance(sq, Var):
-        return _gated_scores(queries, tn, tn_sq)
-    out = np.empty((sq.shape[0], tn.shape[0]))
+    if not gated or isinstance(channels[0][0], Var):
+        return _channel_scores(channels, tn, tn_sq)
+    out = np.empty((channels[0][0].shape[0], tn.shape[0]))
     for lo in range(0, tn.shape[0], SCORE_TILE):
         hi = lo + SCORE_TILE
-        out[:, lo:hi] = _gated_scores(queries, tn[lo:hi], tn_sq[lo:hi])
+        out[:, lo:hi] = _channel_scores(channels, tn[lo:hi], tn_sq[lo:hi])
     return out
 
 

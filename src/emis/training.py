@@ -235,7 +235,8 @@ def train(triplets, corpus, config: TrainConfig,
     data module). Splits listed in ``monitor`` that actually exist are
     evaluated after every epoch and tracked for best checkpoints.
     """
-    from .data import Corpus  # deferred: avoids import cycle at module load
+    # Imported per call, not for a cycle (none exists): perfbench wraps evaluation.evaluate.
+    from .data import Corpus
     from .evaluation import evaluate, queries_from_triplets, raise_zero_norm_row
 
     if not isinstance(corpus, Corpus):

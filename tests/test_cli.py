@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -16,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emis import harness
-from emis.cli import build_parser, main
+from emis import cli, evaluation, harness
+from emis.cli import INSPECT_ROWS, build_parser, main
 from emis.data import (FeatureBank, TripletRecord, TripletSet, ids_sidecar,
-                       write_feature_bank, write_triplets)
+                       read_feature_bank, write_feature_bank, write_triplets)
 from emis.harness import RunConfig, make_run_config
 from emis.head import SCORE_TILE, Flavor, HeadDims, init_params, save_checkpoint
 
@@ -367,6 +368,54 @@ def test_bad_run_settings_are_config_errors(dataset, tmp_path, capsys, flag, val
     assert "Traceback" not in err and out == ""
 
 
+def test_workers_above_the_usable_cpus_is_a_config_error(dataset, tmp_path, capsys,
+                                                        monkeypatch):
+    """No thread is started: the pool class only records what it is given."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    cfg = config_file(tmp_path / "run.cfg", dataset, block_size=2)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(64, 64, 64), seed=0), ckpt)
+    outputs = []
+    for workers in ("3", "2", "1"):
+        code, out, err = run_cli(capsys, "eval", "--config", cfg, "--checkpoint", str(ckpt),
+                                 "--workers", workers)
+        outputs.append((code, out, err))
+    assert outputs[0] == (2, "", "config error: workers must be <= 2, the CPUs this "
+                                 "process may use, got 3\n")
+    assert outputs[1][0] == 0 and outputs[1] == outputs[2]
+    assert pools == [2]
+
+
+def test_eval_h_hidden_contradicting_the_checkpoint_is_a_config_error(dataset, tmp_path,
+                                                                     capsys):
+    cfg = config_file(tmp_path / "run.cfg", dataset)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(64, 64, 64), seed=0), ckpt)
+    code, out, err = run_cli(capsys, "eval", "--config", cfg, "--checkpoint", str(ckpt),
+                             "--h-hidden", "7")
+    assert code == 2 and out == ""
+    assert err == "config error: h_hidden 7 contradicts the checkpoint's h_hidden 64\n"
+    for hidden in ("64", "0"):
+        assert run_cli(capsys, "eval", "--config", cfg, "--checkpoint", str(ckpt),
+                       "--h-hidden", hidden)[0] == 0
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "ablate", "bench", "synth", "gradcheck"])
 def test_negative_seed_is_a_config_error_before_any_work(dataset, tmp_path, capsys, command):
     cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
@@ -530,6 +579,31 @@ def test_inspect_bank_outputs(dataset, capsys):
     assert info["rows"] == 250 and info["dim"] == 64
     assert info["first_ids"] == [f"t{i:05d}" for i in range(5)]
     assert info["row_norm_max"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_inspect_bank_takes_norms_without_a_float64_copy(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data = (rng.standard_normal((32768, 64)) * rng.uniform(0.5, 2.0, (32768, 1)))
+    path = tmp_path / "big.afb"
+    write_feature_bank(FeatureBank(ids=[f"t{i}" for i in range(len(data))],
+                                   data=data.astype(np.float32)), path)
+    tracemalloc.start()
+    try:
+        read_feature_bank(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        code, out, _ = run_cli(capsys, "inspect-bank", str(path), "--json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # The read, the (n,) norms and a few chunk-sized float64 temporaries;
+    # a whole float64 copy alone would be 16 MB more.
+    assert peak < read_peak + 8 * len(data) + 3 * 8 * INSPECT_ROWS * data.shape[1]
+    want = np.linalg.norm(data.astype(np.float32).astype(np.float64), axis=1)
+    info = json.loads(out)
+    assert (info["row_norm_min"], info["row_norm_max"], info["row_norm_mean"]) == (
+        float(want.min()), float(want.max()), float(want.mean()))
 
 
 def test_gradcheck_passes_and_fails(capsys):

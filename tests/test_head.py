@@ -9,6 +9,7 @@ from emis.autodiff import Tape
 from emis.errors import (BadMagic, ConfigError, DataError, NearZeroNorm, NonFiniteData,
                          ShapeMismatch, TruncatedFile)
 from emis.head import (
+    ATTENTION_FLAVORS,
     BLOCK_NAMES,
     SCORE_TILE,
     Flavor,
@@ -116,7 +117,7 @@ def test_scalar_scores_match_oracle():
         m = unit_rows(rng, 1, dims.h_t)
         t = unit_rows(rng, 1, dims.h_i)
         oracle = oracle_from_params(params)
-        for flavor in (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS):
+        for flavor in ATTENTION_FLAVORS:
             got = pairwise_scores(r, m, t, params, flavor)
             want = oracle.score(flavor.value, r[0].tolist(), m[0].tolist(), t[0].tolist())
             assert got[0, 0] == pytest.approx(want, abs=1e-12)
@@ -191,6 +192,25 @@ def test_phase_split_equals_fused_call():
     assert np.array_equal(part, fused[1:3])
 
 
+def test_query_state_is_one_channel_list():
+    """Param-free flavors are one ungated channel; artemis is IS's channel then EM's."""
+    dims = HeadDims(8, 8, 8)
+    params = init_params(dims, seed=4)
+    r_rows, m_rows, _ = _toy_batch(dims, 3, 1, seed=4)
+    states = {f: encode_queries(r_rows, m_rows, params, f) for f in FLAVORS}
+    assert [len(states[f].channels) for f in FLAVORS] == [1, 1, 1, 1, 1, 2]
+    for flavor, state in states.items():
+        assert all((sq is not None) == (flavor in ATTENTION_FLAVORS) for _, sq in state.channels)
+    artemis = states[Flavor.ARTEMIS].channels
+    parts = states[Flavor.IS_ONLY].channels + states[Flavor.EM_ONLY].channels
+    for got, want in zip(artemis, parts):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    part = states[Flavor.ARTEMIS].slice_rows(1, 3)
+    assert part.n_queries == 2 and part.flavor is Flavor.ARTEMIS
+    assert all(np.array_equal(x, full[0][1:3]) and np.array_equal(sq, full[1][1:3])
+               for (x, sq), full in zip(part.channels, artemis))
+
+
 @pytest.mark.parametrize("flavor", [Flavor.IMAGE_ONLY, Flavor.ARTEMIS])
 def test_prepare_gallery_takes_float32_rows_and_leaves_them_alone(flavor):
     dims = HeadDims(8, 8, 8)
@@ -237,9 +257,6 @@ def test_pairwise_accepts_tape_vars():
     tape.backward(var.sum())
     grads = gradients_of(lifted, tape)
     assert np.all(np.isfinite(params_to_vector(grads)))
-
-
-ATTENTION_FLAVORS = [Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS]
 
 
 @pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from emis import autodiff as ad
 from emis.errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
-from emis.head import (AttentionParams, Flavor, HeadDims, attention_rows, init_params,
-                       pairwise_scores, prepare_gallery)
+from emis.head import (ATTENTION_FLAVORS, AttentionParams, Flavor, HeadDims, attention_rows,
+                       init_params, pairwise_scores, prepare_gallery)
 from emis.numerics import finite_diff_check
 
 import scalar_oracle
@@ -95,7 +95,7 @@ def test_mlp2_shape_mismatches():
     params = init_params(dims, seed=1)
     rng = np.random.default_rng(1)
     r, t = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
-    for flavor in (Flavor.IS_ONLY, Flavor.EM_ONLY, Flavor.ARTEMIS):
+    for flavor in ATTENTION_FLAVORS:
         with pytest.raises(ShapeMismatch):
             pairwise_scores(r, rng.standard_normal((2, 6)), t, params, flavor)
 
