@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import SynthSpec, read_feature_bank
 from .errors import CheckFailure, ConfigError, DataError, EmisError
 from .evaluation import aggregate_suite, evaluate, queries_from_triplets
@@ -26,6 +24,7 @@ from .harness import (RUN_KEY_TYPES, BenchConfig, RunConfig, ablation_table,
                       run_ablation, write_synthetic)
 from .head import (HeadDims, head_mac_count, load_checkpoint, param_count,
                    save_checkpoint)
+from .numerics import row_norms
 from .training import train, write_epoch_logs
 
 _CONFIG_KEY_DOC = """\
@@ -287,15 +286,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-INSPECT_ROWS = 1024   # bank rows per step of inspect-bank's float64 norm loop
-
-
 def cmd_inspect_bank(args: argparse.Namespace) -> int:
     bank = read_feature_bank(args.path)
-    norms = np.empty(bank.n)   # widened a chunk at a time, never the whole bank
-    for lo in range(0, bank.n, INSPECT_ROWS):
-        rows = bank.data[lo:lo + INSPECT_ROWS].astype(np.float64)
-        norms[lo:lo + INSPECT_ROWS] = np.linalg.norm(rows, axis=1)
+    norms = row_norms(bank.data)
     info = {
         "path": args.path, "rows": bank.n, "dim": bank.dim,
         "dtype": "float32 little-endian",

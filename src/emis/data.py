@@ -437,7 +437,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, TripletSet, SynthInfo]:
         return coef_t * delta[owner_t]
 
     def normalized(v: Array) -> Array:
-        norm = np.linalg.norm(v)
+        norm = np.sqrt(v.dot(v))
         return v / norm if norm > NORM_EPS else v
 
     def sample_latent() -> Array:

@@ -31,7 +31,7 @@ from . import head
 from .errors import (ConfigError, EmptyInput, MissingCell, MissingSubset,
                      NearZeroNorm, NonFiniteGradient, ShapeMismatch, UnknownId)
 from .head import Flavor, HeadParams, pairwise_scores
-from .numerics import NORM_EPS, normalize_rows
+from .numerics import NORM_EPS, normalize_rows, row_norms
 
 Array = np.ndarray
 
@@ -116,7 +116,7 @@ def raise_zero_norm_row(corpus, queries: Sequence[QuerySpec] = (), first: int = 
     """
     for name, picked in rows.items():
         bank = getattr(corpus, name)
-        norms = np.linalg.norm(bank.data[picked].astype(np.float64), axis=1)
+        norms = row_norms(bank.data)[picked]
         bad = np.flatnonzero(~(norms > NORM_EPS))
         if bad.size:
             at = int(bad[0])

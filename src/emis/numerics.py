@@ -1,11 +1,12 @@
-"""The norm floor, the row normalizer and gradient verification.
+"""The norm floor, row norms, the row normalizer and gradient verification.
 
-``NORM_EPS`` is the smallest norm the program will divide by, and
-``normalize_rows`` the one row normalizer: a row whose norm is NaN or
-<= ``NORM_EPS`` raises ``NearZeroNorm``. ``finite_diff_check`` is the
-ground-truth oracle used by the test suite and the ``gradcheck`` CLI
-command: it compares tape gradients against central differences,
-coordinate by coordinate.
+``NORM_EPS`` is the smallest norm the program will divide by.
+``row_norms`` is the one row-norm loop, taken ``NORM_ROWS`` rows at a
+time so no bank-sized temporary is built, and ``normalize_rows`` the
+one row normalizer: a row whose norm is NaN or <= ``NORM_EPS`` raises
+``NearZeroNorm``. ``finite_diff_check`` is the ground-truth oracle used
+by the test suite and the ``gradcheck`` CLI command: it compares tape
+gradients against central differences, coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ Array = np.ndarray
 
 NORM_EPS = 1e-12
 
+# Rows per pass of ``row_norms``: a pass's float64 rows and their squares
+# are NORM_ROWS x D, never bank-sized.
+NORM_ROWS = 1024
+
 
 def guard_norms(norms, what: str) -> None:
     """Raise ``NearZeroNorm`` unless every norm (array or tape Var) is > NORM_EPS.
@@ -37,12 +42,29 @@ def guard_norms(norms, what: str) -> None:
         raise NearZeroNorm(f"{what} has norm {smallest!r}", row=row)
 
 
+def row_norms(rows: Array) -> Array:
+    """The float64 L2 norm of every row of a 2-D array, ``NORM_ROWS`` rows at a time.
+
+    A pass of any other dtype (float32 bank rows) is widened to float64
+    before it is squared; float64 rows are not copied. Each row's sum does
+    not depend on the pass it falls in, so the norms are bit-identical to
+    ``np.linalg.norm`` of the whole widened array along axis 1.
+    """
+    norms = np.empty(len(rows))
+    for lo in range(0, len(rows), NORM_ROWS):
+        chunk = rows[lo:lo + NORM_ROWS]
+        if chunk.dtype != np.float64:
+            chunk = chunk.astype(np.float64)
+        norms[lo:lo + NORM_ROWS] = np.linalg.norm(chunk, axis=1)
+    return norms
+
+
 def normalize_rows(x: Array) -> Array:
     """Unit rows in one fresh float64 array, divided in place."""
     out = np.array(x, dtype=np.float64)
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    norms = row_norms(out)
     guard_norms(norms, "row to normalize")
-    out /= norms
+    out /= norms[:, None]
     return out
 
 

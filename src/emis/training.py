@@ -181,6 +181,22 @@ def adamw_step(params: HeadParams, grads: HeadParams, state: AdamWState,
     return vector_to_params(out, params.dims), state
 
 
+def _step_error(exc: Exception, params: HeadParams, epoch: int, step: int) -> Exception:
+    """``exc`` reworded to name the epoch and step of the batch that failed.
+
+    When a parameter block is not finite, the error is a
+    ``NonFiniteGradient`` naming the first such block. Called only after
+    a step failed, so a good run pays nothing.
+    """
+    where = f"epoch {epoch}, step {step}"
+    for name, block in param_blocks(params):
+        if not np.isfinite(block).all():
+            return NonFiniteGradient(f"{where}: parameter block {name} is not finite ({exc})")
+    if isinstance(exc, NearZeroNorm):
+        return NearZeroNorm(f"{where}: {exc}", row=exc.row)
+    return NonFiniteGradient(f"{where}: {exc}")
+
+
 def lr_at_epoch(epoch: int, config: TrainConfig) -> float:
     """Step decay: lr0 * lr_decay^(epoch // decay_every)."""
     if epoch < 0:
@@ -275,19 +291,22 @@ def train(triplets, corpus, config: TrainConfig,
         lr = lr_at_epoch(epoch, config)
         order = rng.permutation(n)
         losses: list[float] = []
-        for lo in range(0, n, config.batch_size):
+        for step, lo in enumerate(range(0, n, config.batch_size)):
             batch = order[lo:lo + config.batch_size]
             if len(batch) < config.batch_size and not config.keep_partial_batch:
                 continue
             if len(batch) < 2:
                 continue
             try:
-                loss, grads = bbc_loss(r_all[batch], m_all[batch], t_all[batch],
-                                       params, config.flavor)
-            except NearZeroNorm:
-                raise_zero_norm_row(corpus, targets=tgt_rows[batch])
-                raise
-            params, state = adamw_step(params, grads, state, lr, config)
+                try:
+                    loss, grads = bbc_loss(r_all[batch], m_all[batch], t_all[batch],
+                                           params, config.flavor)
+                except NearZeroNorm:
+                    raise_zero_norm_row(corpus, targets=tgt_rows[batch])
+                    raise
+                params, state = adamw_step(params, grads, state, lr, config)
+            except (NearZeroNorm, NonFiniteGradient) as exc:
+                raise _step_error(exc, params, epoch, step) from exc
             losses.append(loss)
         if not losses:
             raise EmptySplit(f"train split yields no usable minibatch of size >= 2 "

@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 
 from emis import cli, evaluation, harness
-from emis.cli import INSPECT_ROWS, build_parser, main
+from emis.cli import build_parser, main
 from emis.data import (FeatureBank, TripletRecord, TripletSet, ids_sidecar,
                        read_feature_bank, write_feature_bank, write_triplets)
 from emis.harness import RunConfig, make_run_config
 from emis.head import SCORE_TILE, Flavor, HeadDims, init_params, save_checkpoint
+from emis.numerics import NORM_ROWS
 
 from conftest import one_hot_attention_params
 
@@ -128,6 +129,26 @@ def test_bad_optimizer_settings_are_config_errors(dataset, tmp_path, capsys, key
     assert code == 2
     assert err.startswith(f"config error: {key} must be")
     assert not (tmp_path / "h.ahp").exists()
+
+
+@pytest.mark.parametrize("extra, want", [
+    # The first step leaves finite parameters near 1e300; the next forward overflows.
+    ({}, "error: epoch 0, step 1: attention-weighted reference has norm nan"),
+    # lr0 * weight_decay overflows, so the first step writes non-finite parameters.
+    ({"weight_decay": 1e10},
+     "error: epoch 0, step 1: parameter block attn_is.w1 is not finite "
+     "(attention-weighted reference has norm nan)"),
+], ids=["overflow", "non_finite_params"])
+def test_train_error_names_the_epoch_step_and_non_finite_block(dataset, tmp_path, capsys,
+                                                               extra, want):
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=2, batch_size=16, lr0=1e300,
+                      **extra)
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(capsys, "train", "--config", cfg,
+                               "--checkpoint", str(tmp_path / "h.ahp"))
+    assert code == 3
+    assert err.strip() == want
+    assert "Traceback" not in err
 
 
 def test_eval_dump_lines(dataset, tmp_path, capsys):
@@ -599,7 +620,7 @@ def test_inspect_bank_takes_norms_without_a_float64_copy(tmp_path, capsys):
     assert code == 0
     # The read, the (n,) norms and a few chunk-sized float64 temporaries;
     # a whole float64 copy alone would be 16 MB more.
-    assert peak < read_peak + 8 * len(data) + 3 * 8 * INSPECT_ROWS * data.shape[1]
+    assert peak < read_peak + 8 * len(data) + 3 * 8 * NORM_ROWS * data.shape[1]
     want = np.linalg.norm(data.astype(np.float32).astype(np.float64), axis=1)
     info = json.loads(out)
     assert (info["row_norm_min"], info["row_norm_max"], info["row_norm_mean"]) == (

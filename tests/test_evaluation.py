@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,7 @@ from emis.evaluation import (
     round_half_up,
 )
 from emis.head import Flavor, HeadDims, init_params, pairwise_scores
+from emis.numerics import NORM_ROWS
 
 from conftest import refuse_matrix64, unit_rows
 from rank_oracle import RankResult, rank_targets
@@ -528,3 +530,22 @@ def test_raise_zero_norm_row_names_the_first_degenerate_row():
     with pytest.raises(NearZeroNorm, match=r"^query 3 \(r3, m3\): mods bank row 3 "):
         raise_zero_norm_row(corpus, queries, 2, refs=np.array([2, 3]), mods=np.array([2, 3]))
     assert raise_zero_norm_row(corpus, refs=np.array([0, 2]), targets=np.arange(4)) is None
+
+
+def test_raise_zero_norm_row_over_a_gallery_peaks_within_one_float64_copy_plus_chunks():
+    n, dim = 4 * NORM_ROWS + 5, 64
+    targets = np.random.default_rng(6).standard_normal((n, dim)).astype(np.float32)
+    targets[NORM_ROWS + 3] = 0.0
+    small = np.ones((1, dim), dtype=np.float32)
+    corpus = Corpus(refs=FeatureBank(ids=["r0"], data=small),
+                    mods=FeatureBank(ids=["m0"], data=small),
+                    targets=FeatureBank(ids=[f"t{i}" for i in range(n)], data=targets))
+    picked = np.arange(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NearZeroNorm, match=rf"^targets bank row {NORM_ROWS + 3} "):
+            raise_zero_norm_row(corpus, targets=picked)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * dim * 8 + n * 8 + 2 * NORM_ROWS * dim * 8

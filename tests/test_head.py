@@ -30,6 +30,7 @@ from emis.head import (
     scores_from_state,
     vector_to_params,
 )
+from emis.numerics import NORM_ROWS
 
 from conftest import (assert_one_flat_buffer, corruptions, one_hot_attention_params,
                       oracle_from_params, unit_rows)
@@ -317,6 +318,20 @@ def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
         tracemalloc.stop()
     q, g = scores.shape
     assert peak <= q * g * 8 + 8 * q * SCORE_TILE * 8
+
+
+def test_late_fusion_gallery_peak_memory_is_one_float64_copy_plus_chunks():
+    """Normalizing a float32 bank builds no second bank-sized array."""
+    n, dim = 4 * NORM_ROWS + 5, 64
+    t_rows = np.random.default_rng(5).standard_normal((n, dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        gallery = prepare_gallery(t_rows, HeadDims(dim, dim, dim), Flavor.LATE_FUSION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gallery.tn.shape == (n, dim)
+    assert peak <= n * dim * 8 + n * 8 + 2 * NORM_ROWS * dim * 8
 
 
 def test_width_guards():

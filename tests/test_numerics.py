@@ -8,7 +8,7 @@ from emis import autodiff as ad
 from emis.errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
 from emis.head import (ATTENTION_FLAVORS, AttentionParams, Flavor, HeadDims, attention_rows,
                        init_params, pairwise_scores, prepare_gallery)
-from emis.numerics import finite_diff_check
+from emis.numerics import NORM_ROWS, finite_diff_check, normalize_rows, row_norms
 
 import scalar_oracle
 from conftest import oracle_from_params
@@ -43,6 +43,39 @@ def test_l2_normalize_unit_norm_and_idempotent(v):
     u = unit_gallery_row(v)
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(unit_gallery_row(u), u, atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [0, 1, NORM_ROWS - 1, NORM_ROWS, NORM_ROWS + 1, 3 * NORM_ROWS + 5])
+def test_row_norms_and_normalize_rows_match_the_whole_array_norm_bit_for_bit(n, dtype):
+    rng = np.random.default_rng(n)
+    rows = (rng.standard_normal((n, 100)) * rng.uniform(0.1, 10.0, (n, 1))).astype(dtype)
+    wide = rows.astype(np.float64)
+    want = np.linalg.norm(wide, axis=1, keepdims=True)
+    norms = row_norms(rows)
+    assert norms.dtype == np.float64 and norms.shape == (n,)
+    assert norms.tobytes() == want.tobytes()
+    assert normalize_rows(rows).tobytes() == (wide / want).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_normalize_rows_names_the_global_row_of_a_degenerate_norm(dtype, zero_first):
+    rows = np.ones((3 * NORM_ROWS, 4), dtype=dtype)
+    zero, nan = (NORM_ROWS + 7, NORM_ROWS + 9) if zero_first else (NORM_ROWS + 9, NORM_ROWS + 7)
+    rows[zero] = 0.0
+    rows[nan, 2] = np.nan
+    norms = row_norms(rows)
+    assert norms[zero] == 0.0 and np.isnan(norms[nan])
+    with pytest.raises(NearZeroNorm) as err:
+        normalize_rows(rows)
+    assert err.value.row == min(zero, nan)
+    assert str(err.value) == "row to normalize has norm nan"
+    rows[nan] = 1.0
+    with pytest.raises(NearZeroNorm) as err:
+        normalize_rows(rows)
+    assert err.value.row == zero
+    assert str(err.value) == "row to normalize has norm 0.0"
 
 
 # -- softmax (the attention's row softmax, on plain arrays) ----------------------------
