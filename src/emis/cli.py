@@ -214,6 +214,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _run_config(args)
     if args.cells:
         return _aggregate_cells(config, args.cells)
+    if config.convention == "fashioniq":
+        raise ConfigError("fashioniq aggregates three category runs; "
+                          "evaluate each category, then rerun with --cells")
     require_settings(config, "checkpoint")
     require_input_file("checkpoint", config.checkpoint)
     require_output_path("dump", args.dump)
@@ -228,11 +231,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                       block_size=config.block_size, workers=config.workers,
                       dump_path=args.dump, dump_top_k=args.top_k)
     print(report.to_text())
-    if config.convention in ("shoes", "cirr"):
+    if config.convention is not None:
         print(aggregate_suite(report.metrics, config.convention).to_text())
-    elif config.convention == "fashioniq":
-        raise ConfigError("fashioniq aggregates three category runs; "
-                          "evaluate each category, then rerun with --cells")
     if args.metrics_out:
         Path(args.metrics_out).write_text(report.to_json(indent=2) + "\n",
                                           encoding="utf-8")

@@ -292,6 +292,21 @@ def _attach_subsets(triplets: TripletSet, path, corpus: Corpus | None) -> None:
 
 # -- synthetic attribute-flip benchmark -----------------------------------------
 
+# Distractor mix. Hard eval queries (HARD_FRACTION of them) get a full
+# direction-decoy pack (reference twin plus every partial flip pattern,
+# capped); all eval queries get near misses (flip pattern right, 1-2
+# preserved attributes wrong). The remainder of the gallery is uniform
+# noise. Each eval query's candidate subset holds SUBSET_SIZE targets.
+HARD_FRACTION = 0.6
+SUBSET_SIZE = 6
+# Fraction of text dimensions wired identically to the image map.
+# Aligned positions give cos(m, t) real signal, so late fusion beats
+# the single-modality baselines; the fresh remainder is readable only
+# through a learned projection, which keeps late fusion short of the
+# trained head.
+MODIFIER_ALIGN = 0.5
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator settings; defaults give the standard desk-scale benchmark."""
@@ -306,20 +321,9 @@ class SynthSpec:
     noise_sigma: float = 0.05
     flip_count: int = 4
     seed: int = 0
-    # Distractor mix. Hard eval queries get a full direction-decoy pack
-    # (reference twin plus every partial flip pattern, capped); all eval
-    # queries get near misses (flip pattern right, 1-2 preserved
-    # attributes wrong). The remainder of the gallery is uniform noise.
-    hard_fraction: float = 0.6
+    # Pack sizes of the distractor mix described at HARD_FRACTION.
     near_miss_count: int = 12
     direction_decoy_cap: int = 15
-    subset_size: int = 6
-    # Fraction of text dimensions wired identically to the image map.
-    # Aligned positions give cos(m, t) real signal, so late fusion beats
-    # the single-modality baselines; the fresh remainder is readable only
-    # through a learned projection, which keeps late fusion short of the
-    # trained head.
-    modifier_align: float = 0.5
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -335,19 +339,13 @@ class SynthSpec:
             raise SpecInvalid(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.n_train < 1 or self.n_eval < 1 or self.n_val < 0:
             raise SpecInvalid("need n_train >= 1, n_eval >= 1, n_val >= 0")
-        if not 0.0 <= self.hard_fraction <= 1.0:
-            raise SpecInvalid("hard_fraction must be in [0, 1]")
-        if not 0.0 <= self.modifier_align <= 1.0:
-            raise SpecInvalid("modifier_align must be in [0, 1]")
-        if self.subset_size < 2:
-            raise SpecInvalid("subset_size must be >= 2")
         needed = self._min_gallery()
         if self.gallery_size < needed:
             raise SpecInvalid(f"gallery_size {self.gallery_size} cannot hold "
                               f"{needed} targets+decoys; enlarge it or shrink the packs")
 
     def _n_hard(self) -> int:
-        return round(self.hard_fraction * (self.n_eval + self.n_val))
+        return round(HARD_FRACTION * (self.n_eval + self.n_val))
 
     def _direction_pack(self) -> int:
         return min(2 ** self.flip_count - 1, self.direction_decoy_cap)
@@ -396,7 +394,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, TripletSet, SynthInfo]:
     Every gallery item is a +-1 attribute vector pushed through a fixed
     sparse linear map plus Gaussian noise; the modifier embeds the
     signed attribute delta (target - reference) through a second fixed
-    map that shares a modifier_align fraction of its wiring with the
+    map that shares a MODIFIER_ALIGN fraction of its wiring with the
     image map. Eval targets are unique latents, so exact-latent
     retrieval is unambiguous.
     """
@@ -409,12 +407,12 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, TripletSet, SynthInfo]:
     owner = rng.permutation(owner)
     coef = rng.uniform(0.5, 1.5, size=dim_i) * rng.choice([-1.0, 1.0], size=dim_i)
 
-    # Text map: modifier_align of the positions copy the image map's wiring
+    # Text map: MODIFIER_ALIGN of the positions copy the image map's wiring
     # so cos(m, t) carries signal; the rest get fresh random wiring. Fresh
     # positions cover every attribute when they can, keeping the full delta
     # linearly decodable from m.
     pairable = min(dim_t, dim_i)
-    n_aligned = min(round(spec.modifier_align * dim_t), pairable)
+    n_aligned = min(round(MODIFIER_ALIGN * dim_t), pairable)
     aligned_pos = np.sort(rng.choice(pairable, size=n_aligned, replace=False))
     fresh_pos = np.setdiff1d(np.arange(dim_t), aligned_pos)
     owner_t = np.empty(dim_t, dtype=np.int64)
@@ -562,15 +560,15 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, TripletSet, SynthInfo]:
     for qi in eval_order:
         record_index = spec.n_train + qi
         pool = pack_rows[qi]
-        n_others = min(spec.subset_size - 1, len(pool))
+        n_others = min(SUBSET_SIZE - 1, len(pool))
         others = list(rng.choice(pool, size=n_others, replace=False)) if pool else []
         fill = 0
-        while len(others) < spec.subset_size - 1:
+        while len(others) < SUBSET_SIZE - 1:
             candidate = int(rng.integers(0, spec.gallery_size))
             fill += 1
             if candidate != qi and candidate not in others:
                 others.append(candidate)
-            if fill > 50 * spec.subset_size:
+            if fill > 50 * SUBSET_SIZE:
                 break
         members = [f"t{qi:05d}"] + [f"t{int(r):05d}" for r in others]
         triplets.subsets[record_index] = tuple(members)

@@ -37,6 +37,10 @@ Array = np.ndarray
 
 DEFAULT_BLOCK_SIZE = 256
 
+# Recall cutoffs of every report: over the gallery, and within subsets.
+RECALL_KS = (1, 5, 10, 50)
+SUBSET_KS = (1, 2, 3)
+
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -328,8 +332,6 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
 
 
 def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: Flavor,
-             recall_ks: Sequence[int] = (1, 5, 10, 50),
-             subset_ks: Sequence[int] = (1, 2, 3),
              block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1,
              dump_path=None, dump_top_k: int = 10) -> MetricReport:
     """Streamed evaluation: ``rank_queries``, then metrics.
@@ -344,16 +346,15 @@ def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: F
     with_subsets = subset_ranks is not None
 
     metrics: dict[str, float] = {}
-    for k in recall_ks:
+    for k in RECALL_KS:
         metrics[f"r_at_{k}"] = recall_at_k(ranks, k)
     metrics["median_rank"] = median_rank(ranks)
     if with_subsets:
-        for k in subset_ks:
+        for k in SUBSET_KS:
             metrics[f"r_subset_at_{k}"] = recall_at_k(subset_ranks, k)
-    if all(f"r_at_{k}" in metrics for k in (1, 10, 50)):
-        metrics["mean_recall"] = (metrics["r_at_1"] + metrics["r_at_10"]
-                                  + metrics["r_at_50"]) / 3.0
-    if with_subsets and "r_at_5" in metrics:
+    metrics["mean_recall"] = (metrics["r_at_1"] + metrics["r_at_10"]
+                              + metrics["r_at_50"]) / 3.0
+    if with_subsets:
         metrics["combined"] = (metrics["r_at_5"] + metrics["r_subset_at_1"]) / 2.0
 
     if dump_path is not None:
@@ -365,6 +366,7 @@ def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: F
 
 # -- dataset-convention aggregates ----------------------------------------------
 
+CONVENTIONS = ("fashioniq", "shoes", "cirr")
 FASHIONIQ_CATEGORIES = ("dress", "shirt", "toptee")
 
 
@@ -404,7 +406,7 @@ def aggregate_suite(table: Mapping, convention: str) -> MetricReport:
                             aggregate=float(np.mean(list(values.values()))),
                             convention="cirr")
     raise ConfigError(f"unknown convention {convention!r}; "
-                      "expected fashioniq, shoes, or cirr")
+                      f"expected one of {', '.join(CONVENTIONS)}")
 
 
 def _require_cells(table: Mapping, keys: Iterable[str], convention: str) -> None:

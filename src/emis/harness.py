@@ -21,8 +21,8 @@ import numpy as np
 from .data import (Corpus, SynthSpec, TripletSet, generate_synthetic,
                    load_triplets, write_feature_bank, write_triplets)
 from .errors import ConfigError
-from .evaluation import (MetricReport, evaluate, queries_from_triplets,
-                         round_half_up)
+from .evaluation import (CONVENTIONS, DEFAULT_BLOCK_SIZE, MetricReport, evaluate,
+                         queries_from_triplets, round_half_up)
 from .head import (ATTENTION_FLAVORS, Flavor, HeadDims, HeadParams, encode_queries,
                    init_params, pairwise_scores, param_count, prepare_gallery,
                    scores_from_state, vector_to_params)
@@ -56,7 +56,7 @@ class RunConfig:
     convention: str | None = None
     exclude_ref: bool = False
     workers: int = 1
-    block_size: int = 256
+    block_size: int = DEFAULT_BLOCK_SIZE
     split: str = "test"
     monitor: str = "val"
     selection_metric: str = "r_at_10"
@@ -66,6 +66,9 @@ class RunConfig:
         for key, smallest in (("block_size", 1), ("workers", 1), ("h_hidden", 0), ("seed", 0)):
             if getattr(self, key) < smallest:
                 raise ConfigError(f"{key} must be >= {smallest}, got {getattr(self, key)!r}")
+        if self.convention not in (None, *CONVENTIONS):
+            raise ConfigError(f"unknown convention {self.convention!r}; "
+                              f"expected one of {', '.join(CONVENTIONS)}")
 
     def parsed_flavor(self) -> Flavor:
         return Flavor.parse(self.flavor)
@@ -399,6 +402,15 @@ SCORE_CHECKS = ("pairwise_em_only", "pairwise_is_only")
 CHECK_KINDS = SCORE_CHECKS + tuple(f"bbc_{f.value}" for f in Flavor)
 LARGE_CHECK_KINDS = SCORE_CHECKS + ("bbc_artemis",)
 
+GRAD_BATCH = 4  # queries (and targets) per batch-loss instance
+SMALL_DIMS, LARGE_DIMS = HeadDims(8, 8, 8), HeadDims(512, 512, 512)
+LARGE_COORDS = 96
+# The probe step is 1e-4, not the checker's 1e-3 default: central
+# differences carry O(h^2) truncation error, which at h=1e-3 already
+# reaches ~1e-4 relative on softmax-heavy paths and would drown the
+# tolerance this suite certifies.
+FD_STEP = 1e-4
+
 
 @dataclass
 class GradCheckInstance:
@@ -440,16 +452,15 @@ class GradCheckSummary:
         return "\n".join(lines)
 
 
-def _run_grad_instance(kind: str, seed: int, dims: HeadDims, batch: int,
-                       tol: float, n_coords: int | None,
-                       h: float = 1e-4) -> GradCheckInstance:
+def _run_grad_instance(kind: str, seed: int, dims: HeadDims, tol: float,
+                       n_coords: int | None) -> GradCheckInstance:
     rng = np.random.default_rng(seed)
     v0 = rng.normal(0.0, 0.5, size=param_count(dims))
     v0[-1] = rng.uniform(1.0, 5.0)  # temperature: keep FD probes positive
 
     what, _, flavor_name = kind.partition("_")
     flavor = Flavor.parse(flavor_name)
-    nq, ng = (batch, batch) if what == "bbc" else (2, 3)
+    nq, ng = (GRAD_BATCH, GRAD_BATCH) if what == "bbc" else (2, 3)
     r = normalize_rows(rng.standard_normal((nq, dims.h_i)))
     m = normalize_rows(rng.standard_normal((nq, dims.h_t)))
     t = normalize_rows(rng.standard_normal((ng, dims.h_i)))
@@ -465,28 +476,19 @@ def _run_grad_instance(kind: str, seed: int, dims: HeadDims, batch: int,
     if n_coords is not None and n_coords < v0.size:
         picked = rng.choice(v0.size - 1, size=n_coords - 1, replace=False)
         coords = np.append(picked, v0.size - 1)  # always probe the temperature
-    report = finite_diff_check(f, v0, h=h, tol=tol, coords=coords)
+    report = finite_diff_check(f, v0, h=FD_STEP, tol=tol, coords=coords)
     return GradCheckInstance(kind=kind, seed=seed, dims=dims,
                              max_error=report.max_error, passed=report.passed)
 
 
-def gradient_check_suite(n_small: int = 104, n_large: int = 3, batch: int = 4,
-                         tol: float = 1e-4, seed: int = 0,
-                         small_dims: HeadDims = HeadDims(8, 8, 8),
-                         large_dims: HeadDims = HeadDims(512, 512, 512),
-                         large_coords: int = 96,
-                         h: float = 1e-4) -> GradCheckSummary:
+def gradient_check_suite(n_small: int = 104, n_large: int = 3,
+                         tol: float = 1e-4, seed: int = 0) -> GradCheckSummary:
     """Tape gradients vs central differences over the score/loss family.
 
     Instances cycle through eight check kinds: the two pair scores and
     the batch loss under each flavor. Small-dims instances sweep every
     parameter coordinate; large-dims instances probe a seeded sample
     (a full sweep at 1.3 M parameters costs hours, not seconds).
-
-    The probe step is 1e-4, not the checker's 1e-3 default: central
-    differences carry O(h^2) truncation error, which at h=1e-3 already
-    reaches ~1e-4 relative on softmax-heavy paths and would drown the
-    tolerance this suite certifies.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -499,10 +501,9 @@ def gradient_check_suite(n_small: int = 104, n_large: int = 3, batch: int = 4,
     for i in range(n_small):
         kind = CHECK_KINDS[i % len(CHECK_KINDS)]
         summary.instances.append(_run_grad_instance(
-            kind, seed * 100003 + i, small_dims, batch, tol, n_coords=None, h=h))
+            kind, seed * 100003 + i, SMALL_DIMS, tol, n_coords=None))
     for i in range(n_large):
         kind = LARGE_CHECK_KINDS[i % len(LARGE_CHECK_KINDS)]
         summary.instances.append(_run_grad_instance(
-            kind, seed * 999331 + i, large_dims, batch, tol,
-            n_coords=large_coords, h=h))
+            kind, seed * 999331 + i, LARGE_DIMS, tol, n_coords=LARGE_COORDS))
     return summary

@@ -27,6 +27,9 @@ NORM_EPS = 1e-12
 # are NORM_ROWS x D, never bank-sized.
 NORM_ROWS = 1024
 
+FD_ABS_FLOOR = 1e-6
+FD_ABS_TOL = 1e-7
+
 
 def guard_norms(norms, what: str) -> None:
     """Raise ``NearZeroNorm`` unless every norm (array or tape Var) is > NORM_EPS.
@@ -98,13 +101,12 @@ class FiniteDiffReport:
 
 def finite_diff_check(f: Callable[[Var], Var], params,
                       h: float = 1e-3, tol: float = 1e-4,
-                      coords: Sequence[int] | None = None,
-                      abs_floor: float = 1e-6, abs_tol: float = 1e-7) -> FiniteDiffReport:
+                      coords: Sequence[int] | None = None) -> FiniteDiffReport:
     """Compare the tape gradient of ``f`` with central differences.
 
     ``f`` maps a parameter Var (any shape) to a scalar Var. A coordinate
     passes if its relative error is <= ``tol``, falling back to absolute
-    error <= ``abs_tol`` when both magnitudes are below ``abs_floor``.
+    error <= ``FD_ABS_TOL`` when both magnitudes are below ``FD_ABS_FLOOR``.
     ``coords`` restricts the sweep to a subset of flat indices.
     """
     x0 = np.asarray(params, dtype=np.float64)
@@ -137,8 +139,8 @@ def finite_diff_check(f: Callable[[Var], Var], params,
             raise NonFiniteGradient(f"central difference non-finite at index {i}")
         analytic = float(grad.flat[i])
         diff = abs(analytic - numeric)
-        if abs(analytic) < abs_floor and abs(numeric) < abs_floor:
-            error, ok = diff, diff <= abs_tol
+        if abs(analytic) < FD_ABS_FLOOR and abs(numeric) < FD_ABS_FLOOR:
+            error, ok = diff, diff <= FD_ABS_TOL
         else:
             error = diff / max(abs(analytic), abs(numeric))
             ok = error <= tol

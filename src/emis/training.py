@@ -29,6 +29,9 @@ from .numerics import normalize_rows
 
 Array = np.ndarray
 
+# Adam's moment decays and denominator floor, at their published defaults.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -40,9 +43,6 @@ class TrainConfig:
     lr_decay: float = 0.5
     decay_every: int = 10
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     flavor: Flavor = Flavor.ARTEMIS
     keep_partial_batch: bool = False
@@ -55,10 +55,7 @@ class TrainConfig:
                 ("lr0", 0 < self.lr0 < math.inf, "a positive finite number"),
                 ("lr_decay", 0 < self.lr_decay < math.inf, "a positive finite number"),
                 ("weight_decay", 0 <= self.weight_decay < math.inf,
-                 "a non-negative finite number"),
-                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                ("eps", 0 < self.eps < math.inf, "a positive finite number")):
+                 "a non-negative finite number")):
             if not ok:
                 raise ConfigError(f"{key} must be {want}, got {getattr(self, key)!r}")
         if self.epochs < 1:
@@ -150,7 +147,7 @@ def adamw_step(params: HeadParams, grads: HeadParams, state: AdamWState,
     for name, g in param_blocks(grads):
         if not np.isfinite(g).all():
             raise NonFiniteGradient(f"gradient for {name} is not finite")
-    b1, b2, eps, step = config.beta1, config.beta2, config.eps, state.step + 1
+    b1, b2, eps, step = BETA1, BETA2, EPS, state.step + 1
     bias1, bias2, decay = 1.0 - b1 ** step, 1.0 - b2 ** step, lr * config.weight_decay
     out = np.empty_like(state.m)
     scratch = np.empty((2, ADAMW_CHUNK))
@@ -243,7 +240,6 @@ def train(triplets, corpus, config: TrainConfig,
           dims: HeadDims | None = None,
           monitor: Sequence[str] = ("val",),
           selection_metric: str = "r_at_10",
-          recall_ks: Sequence[int] = (1, 5, 10, 50),
           exclude_ref: bool = False) -> TrainResult:
     """Run the full loop: shuffled minibatches, per-epoch evaluation.
 
@@ -314,8 +310,10 @@ def train(triplets, corpus, config: TrainConfig,
 
         metrics: dict[str, dict[str, float]] = {}
         for split in monitored:
-            report = evaluate(split_queries[split], corpus, params, config.flavor,
-                              recall_ks=recall_ks)
+            try:
+                report = evaluate(split_queries[split], corpus, params, config.flavor)
+            except (NearZeroNorm, NonFiniteGradient) as exc:
+                raise type(exc)(f"epoch {epoch}, monitor {split}: {exc}") from exc
             metrics[split] = report.metrics
             value = report.metrics.get(selection_metric)
             if value is None:

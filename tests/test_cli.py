@@ -6,6 +6,7 @@ reasonable; one subprocess smoke test confirms `python3 -m emis` wires up.
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from emis import cli, evaluation, harness
 from emis.cli import build_parser, main
 from emis.data import (FeatureBank, TripletRecord, TripletSet, ids_sidecar,
                        read_feature_bank, write_feature_bank, write_triplets)
-from emis.harness import RunConfig, make_run_config
+from emis.harness import RUN_KEY_TYPES, RunConfig, make_run_config
 from emis.head import SCORE_TILE, Flavor, HeadDims, init_params, save_checkpoint
 from emis.numerics import NORM_ROWS
 
@@ -151,6 +152,20 @@ def test_train_error_names_the_epoch_step_and_non_finite_block(dataset, tmp_path
     assert "Traceback" not in err
 
 
+def test_monitor_eval_error_names_the_epoch_and_split(dataset, tmp_path, capsys):
+    """One step per epoch (batch above the 48 train records) that leaves parameters
+    near 1e300: the step succeeds and the val monitor eval overflows."""
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=2, batch_size=64, lr0=1e300,
+                      keep_partial_batch="true")
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "train", "--config", cfg,
+                                 "--checkpoint", str(tmp_path / "h.ahp"))
+    assert code == 3 and out == ""
+    assert err == ("error: epoch 0, monitor val: query 0 (r00048, m00048): "
+                   "attention-weighted reference has norm nan\n")
+    assert "Traceback" not in err
+
+
 def test_eval_dump_lines(dataset, tmp_path, capsys):
     cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
     ckpt = tmp_path / "h.ahp"
@@ -186,11 +201,31 @@ def test_fashioniq_needs_cells(dataset, tmp_path, capsys):
     ckpt = tmp_path / "h.ahp"
     assert run_cli(capsys, "train", "--config", cfg,
                    "--checkpoint", str(ckpt))[0] == 0
-    code, _, err = run_cli(capsys, "eval", "--config", cfg,
-                           "--checkpoint", str(ckpt),
-                           "--convention", "fashioniq")
+    code, out, err = run_cli(capsys, "eval", "--config", cfg,
+                             "--checkpoint", str(ckpt),
+                             "--convention", "fashioniq")
     assert code == 2
     assert "--cells" in err
+    assert out == ""     # refused before any query is scored
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "ablate"])
+def test_unknown_convention_is_a_config_error_before_any_work(dataset, tmp_path, capsys,
+                                                              monkeypatch, command):
+    monkeypatch.setattr(cli, "load_dataset", lambda config: pytest.fail("data was loaded"))
+    monkeypatch.setattr(harness, "load_dataset", lambda config: pytest.fail("data was loaded"))
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(64, 64, 64), seed=0), ckpt)
+    argv = {"eval": ["--checkpoint", str(ckpt)],
+            "train": ["--checkpoint", str(tmp_path / "out.ahp")],
+            "ablate": ["--quiet"]}[command]
+    code, out, err = run_cli(capsys, command, "--config", cfg, *argv,
+                             "--convention", "bogus")
+    assert code == 2 and out == ""
+    assert err == ("config error: unknown convention 'bogus'; "
+                   "expected one of fashioniq, shoes, cirr\n")
+    assert not (tmp_path / "out.ahp").exists()
 
 
 def test_cells_aggregation(tmp_path, capsys):
@@ -726,12 +761,27 @@ def test_run_options_follow_run_config_field_types():
 
 
 def test_help_lists_config_keys(capsys):
+    """Every RunConfig key is documented once, with its real default."""
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for key in ("refs", "flavor", "h_hidden", "keep_partial_batch"):
-        assert key in out
+    documented = {}
+    for line in out.split("keys (defaults in parentheses):\n", 1)[1].splitlines():
+        entry = re.match(r"  (\w+(?:, \w+)*)(?: \(([^)]*)\))? +\S", line)
+        if entry:
+            for key in entry.group(1).split(", "):
+                assert key not in documented, key
+                documented[key] = entry.group(2)
+    assert list(documented) == list(RUN_KEY_TYPES)
+    for f in fields(RunConfig):
+        shown = documented[f.name]
+        if f.default is None:
+            assert shown is None, f.name
+        elif isinstance(f.default, bool):
+            assert shown == str(f.default).lower(), f.name
+        else:
+            assert type(f.default)(shown) == f.default, f.name
 
 
 def test_module_entry_point(dataset):

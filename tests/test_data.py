@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from emis.data import (
+    SUBSET_SIZE,
     Corpus,
     FeatureBank,
     SynthSpec,
@@ -387,10 +389,6 @@ def test_synth_spec_validation():
         with pytest.raises(SpecInvalid):
             SynthSpec(noise_sigma=sigma)
     with pytest.raises(SpecInvalid):
-        SynthSpec(modifier_align=1.5)
-    with pytest.raises(SpecInvalid):
-        SynthSpec(hard_fraction=2.0)
-    with pytest.raises(SpecInvalid):
         SynthSpec(gallery_size=100)  # cannot hold targets + decoy packs
 
 
@@ -414,6 +412,29 @@ def test_synth_deterministic_and_well_formed():
         corpus_a.targets.row_of(rec.tgt)
 
 
+# sha256 of each file ``small_spec()`` writes; any change to the generator's
+# draws, constants or file formats changes one of them.
+GOLDEN_SYNTH_SHA256 = {
+    "refs.afb": "bc0496b3643e580cede31bf7788f5768400b1931087835578da9fb7af90a5aa7",
+    "mods.afb": "7aba8387cc0140cdd0a24da2a79aca312ddec2543924f485938b939df42d3721",
+    "targets.afb": "33f08948cbfc508e6241a6353f517e964deb2e2f2f4ae08cc38e5d74e16a01f2",
+    "triplets.jsonl": "14e499f1c472c0e6fe4046327c3a6e32bec2514952b9fa2d51ba2baaa69644ae",
+    "subsets.jsonl": "44ffd8003efa46d16904fc32b082d538368631d85bb668e84b0c95f3ce53146a",
+    "latents.json": "1b9327e6870a0b97c81c55ef7ecb42d30cafdc81f86d8ab59716bc04bff59890",
+}
+
+
+def test_synth_bytes_match_golden_digests(tmp_path):
+    corpus, triplets, info = generate_synthetic(small_spec())
+    for name in ("refs", "mods", "targets"):
+        write_feature_bank(getattr(corpus, name), tmp_path / f"{name}.afb")
+    write_triplets(triplets, tmp_path / "triplets.jsonl", tmp_path / "subsets.jsonl")
+    (tmp_path / "latents.json").write_text(info.to_json(), encoding="utf-8")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SYNTH_SHA256}
+    assert digests == GOLDEN_SYNTH_SHA256
+
+
 def test_synth_eval_targets_are_unique_latents():
     spec = small_spec()
     corpus, triplets, info = generate_synthetic(spec)
@@ -434,7 +455,7 @@ def test_synth_subsets_cover_eval_targets():
                     if r.split in ("val", "test")]
     for i in eval_indices:
         members = triplets.subsets[i]
-        assert len(members) == spec.subset_size
+        assert len(members) == SUBSET_SIZE
         assert triplets.records[i].tgt in members
         assert len(set(members)) == len(members)
 

@@ -196,7 +196,7 @@ def test_bench_latency_rejects_mismatched_data():
 # -- gradient check suite ----------------------------------------------------------------
 
 def test_gradient_suite_cycles_kinds_and_passes():
-    summary = gradient_check_suite(n_small=8, n_large=0, batch=3, seed=1)
+    summary = gradient_check_suite(n_small=8, n_large=0, seed=1)
     assert summary.passed
     assert len(summary.instances) == 8
     assert [inst.kind for inst in summary.instances] == list(CHECK_KINDS)
@@ -206,7 +206,7 @@ def test_gradient_suite_cycles_kinds_and_passes():
 
 
 def test_gradient_suite_reports_failures_under_absurd_tolerance():
-    summary = gradient_check_suite(n_small=2, n_large=0, batch=3, tol=1e-15)
+    summary = gradient_check_suite(n_small=2, n_large=0, tol=1e-15)
     assert not summary.passed
     assert summary.n_failures >= 1
     assert "FAILED" in summary.to_text()
