@@ -333,7 +333,7 @@ def bench_latency(bench: BenchConfig = BenchConfig(),
 
     Each repeat times three phases per flavor: query-side encoding
     (attention and projection vectors), gallery precompute
-    (normalization and squares), and the blocked scoring loop over all
+    (normalization), and the blocked scoring loop over all
     query-gallery pairs. Blocks are reduced to a checksum so peak
     memory stays flat at benchmark scale. Inputs default to seeded
     random banks; pass real banks and a trained checkpoint to measure

@@ -15,9 +15,9 @@ encoding, gallery preparation, scoring) that the latency benchmark
 times individually. Both attention scores have one form, the attended
 cosine cos(u, a * t), so a query is a list of channels that scoring
 sums without asking which flavor built them. Plain-array attention
-states are scored one tile of ``SCORE_TILE`` gallery rows at a time, so
-a block's peak memory is its (Q, G) result plus tile-sized temporaries;
-the pair-norm guard runs per tile.
+states are scored ``SCORE_TILE`` gallery rows at a time through three
+tile buffers (squares, pair norms, dot products), so a block's peak
+memory is its (Q, G) result plus those; the pair-norm guard runs per tile.
 
 Plain-array parameter blocks are views into one float64 vector.
 """
@@ -42,9 +42,9 @@ Array = np.ndarray
 GAMMA_INIT = 10.0
 GAMMA_MIN = 1e-3
 
-# Gallery rows per scoring tile for the attention flavors. A multiple of
-# 8, so each tile's gemm columns are bit-identical to the whole-gallery
-# gemm's on the OpenBLAS kernels measured (other widths moved last bits).
+# Gallery rows per scoring tile for the attention flavors. A multiple of 8:
+# on the OpenBLAS kernels measured such tiles keep the whole-gallery gemm's
+# bits, while other widths (a last tile of G % 8 != 0 rows too) move last bits.
 SCORE_TILE = 2048
 
 
@@ -222,10 +222,9 @@ class QueryState:
 
 @dataclass
 class GalleryState:
-    """Candidate-side arrays: normalized rows, squares for attention flavors."""
+    """Candidate-side array: the unit gallery rows, the same for every flavor."""
 
     tn: Array
-    tn_sq: Array | None = None
 
 
 def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryState:
@@ -279,7 +278,7 @@ def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryS
 
 
 def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
-    """Candidate-side phase: normalize once; squares for attention flavors.
+    """Candidate-side phase: normalize once; the state is the same for every flavor.
 
     ``t_rows`` may be float32 bank rows; the normalized float64 rows are
     the one widened copy.
@@ -289,18 +288,15 @@ def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
         raise ShapeMismatch("prepare_gallery expects a 2-D row block")
     if t_rows.shape[1] != dims.h_i:
         raise ShapeMismatch(f"candidate width {t_rows.shape[1]} vs h_i {dims.h_i}")
-    tn = normalize_rows(t_rows)
-    if flavor in ATTENTION_FLAVORS:
-        return GalleryState(tn=tn, tn_sq=tn * tn)
-    return GalleryState(tn=tn)
+    return GalleryState(tn=normalize_rows(t_rows))
 
 
-def _channel_scores(channels, tn, tn_sq):
+def _channel_scores(channels, tn):
     """Sum over channels of every query's score against the rows ``tn``."""
     def score(x, sq):   # a function, so each channel's temporaries die with it
         if sq is None:
             return x @ tn.T
-        pair_norm = ad.sqrt(sq @ tn_sq.T)   # (Q,G)  ||a*t|| on unit t rows
+        pair_norm = ad.sqrt(sq @ (tn * tn).T)   # (Q,G)  ||a*t|| on unit t rows
         guard_norms(pair_norm, "attention-weighted candidate")
         return (x @ tn.T) / pair_norm
 
@@ -314,20 +310,24 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
     """Scoring phase: the channel sum of ``queries`` against the gallery.
 
     Plain-array gated states are scored ``SCORE_TILE`` gallery rows at a
-    time into one (Q, G) result, so every other (Q, G)-shaped temporary
-    is only a tile wide. Tape states and the ungated gemm are scored
-    whole.
+    time, in tile buffers made once per call, to ``_channel_scores``'s bits
+    on each tile. Tape states and the ungated gemm are scored whole.
     """
-    channels, tn, tn_sq = queries.channels, gallery.tn, gallery.tn_sq
-    gated = any(sq is not None for _, sq in channels)
-    if gated and tn_sq is None:
-        raise ShapeMismatch(f"gallery state lacks squares needed by {queries.flavor}")
-    if not gated or isinstance(channels[0][0], Var):
-        return _channel_scores(channels, tn, tn_sq)
-    out = np.empty((channels[0][0].shape[0], tn.shape[0]))
-    for lo in range(0, tn.shape[0], SCORE_TILE):
-        hi = lo + SCORE_TILE
-        out[:, lo:hi] = _channel_scores(channels, tn[lo:hi], tn_sq[lo:hi])
+    channels, tn = queries.channels, gallery.tn
+    if isinstance(channels[0][0], Var) or any(sq is None for _, sq in channels):
+        return _channel_scores(channels, tn)
+    q, g, w = channels[0][0].shape[0], tn.shape[0], min(tn.shape[0], SCORE_TILE)
+    out, t_sq, flat = np.empty((q, g)), np.empty((w, tn.shape[1])), np.empty((2, q * w))
+    for lo in range(0, g, SCORE_TILE):
+        t = tn[lo:lo + SCORE_TILE]
+        sq_t, o = np.multiply(t, t, out=t_sq[:len(t)]), out[:, lo:lo + len(t)]
+        n, d = flat[:, :q * len(t)].reshape(2, q, len(t))   # contiguous, ragged or not
+        for k, (x, sq) in enumerate(channels):
+            np.sqrt(np.matmul(sq, sq_t.T, out=n), out=n)     # ||a*t|| per pair
+            guard_norms(n, "attention-weighted candidate")
+            np.divide(np.matmul(x, t.T, out=d), n, out=d if k else o)
+            if k:   # total + score, as in _channel_scores
+                np.add(o, d, out=o)
     return out
 
 

@@ -271,8 +271,12 @@ def train(triplets, corpus, config: TrainConfig,
     if dims is None:
         dims = HeadDims(h_t=corpus.mods.dim, h_i=corpus.targets.dim,
                         h_hidden=corpus.targets.dim)
-    params = init_params(dims, seed=config.seed)
-    state = AdamWState.fresh(params)
+    try:
+        params = init_params(dims, seed=config.seed)
+        state = AdamWState.fresh(params)
+    except MemoryError:
+        raise ConfigError(f"h_hidden {dims.h_hidden}: cannot allocate the head's "
+                          f"{param_count(dims)} parameters and their AdamW moments") from None
     rng = np.random.default_rng(config.seed)
 
     monitored = [s for s in monitor if triplets.split(s)]

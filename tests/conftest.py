@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ def refuse_matrix64(monkeypatch) -> None:
         raise AssertionError(f"matrix64 was called on a bank of {bank.n} rows")
 
     monkeypatch.setattr(FeatureBank, "matrix64", matrix64)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -7,10 +7,10 @@ reasonable; one subprocess smoke test confirms `python3 -m emis` wires up.
 import json
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -26,7 +26,7 @@ from emis.harness import RUN_KEY_TYPES, RunConfig, make_run_config
 from emis.head import SCORE_TILE, Flavor, HeadDims, init_params, save_checkpoint
 from emis.numerics import NORM_ROWS
 
-from conftest import one_hot_attention_params
+from conftest import one_hot_attention_params, traced_peak
 
 SYNTH_FLAGS = ["--seed", "1", "--n-train", "48", "--n-eval", "5",
                "--n-val", "3", "--gallery-size", "250"]
@@ -472,6 +472,25 @@ def test_eval_h_hidden_contradicting_the_checkpoint_is_a_config_error(dataset, t
                        "--h-hidden", hidden)[0] == 0
 
 
+def test_train_head_too_large_to_allocate_is_a_config_error(dataset, tmp_path):
+    """The address-space cap is set in the child alone, so its allocation fails."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    cfg = config_file(tmp_path / "run.cfg", dataset)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "emis", "train", "--config", cfg,
+         "--checkpoint", str(tmp_path / "h.ahp"), "--h-hidden", "100000000"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("config error: h_hidden 100000000: cannot allocate the head's "
+                           "25800004289 parameters and their AdamW moments\n")
+    assert not (tmp_path / "h.ahp").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "ablate", "bench", "synth", "gradcheck"])
 def test_negative_seed_is_a_config_error_before_any_work(dataset, tmp_path, capsys, command):
     cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
@@ -643,15 +662,8 @@ def test_inspect_bank_takes_norms_without_a_float64_copy(tmp_path, capsys):
     path = tmp_path / "big.afb"
     write_feature_bank(FeatureBank(ids=[f"t{i}" for i in range(len(data))],
                                    data=data.astype(np.float32)), path)
-    tracemalloc.start()
-    try:
-        read_feature_bank(path)
-        _, read_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        code, out, _ = run_cli(capsys, "inspect-bank", str(path), "--json")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, read_peak = traced_peak(lambda: read_feature_bank(path))
+    (code, out, _), peak = traced_peak(lambda: run_cli(capsys, "inspect-bank", str(path), "--json"))
     assert code == 0
     # The read, the (n,) norms and a few chunk-sized float64 temporaries;
     # a whole float64 copy alone would be 16 MB more.

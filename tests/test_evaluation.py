@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -36,7 +35,7 @@ from emis.evaluation import (
 from emis.head import Flavor, HeadDims, init_params, pairwise_scores
 from emis.numerics import NORM_ROWS
 
-from conftest import refuse_matrix64, unit_rows
+from conftest import refuse_matrix64, traced_peak, unit_rows
 from rank_oracle import RankResult, rank_targets
 
 
@@ -541,11 +540,10 @@ def test_raise_zero_norm_row_over_a_gallery_peaks_within_one_float64_copy_plus_c
                     mods=FeatureBank(ids=["m0"], data=small),
                     targets=FeatureBank(ids=[f"t{i}" for i in range(n)], data=targets))
     picked = np.arange(n)
-    tracemalloc.start()
-    try:
+
+    def raise_it():
         with pytest.raises(NearZeroNorm, match=rf"^targets bank row {NORM_ROWS + 3} "):
             raise_zero_norm_row(corpus, targets=picked)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(raise_it)
     assert peak <= n * dim * 8 + n * 8 + 2 * NORM_ROWS * dim * 8

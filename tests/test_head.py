@@ -1,6 +1,5 @@
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from emis.head import (
     SCORE_TILE,
     Flavor,
     HeadDims,
+    _channel_scores,
     block_shapes,
     copy_params,
     encode_queries,
@@ -33,7 +33,7 @@ from emis.head import (
 from emis.numerics import NORM_ROWS
 
 from conftest import (assert_one_flat_buffer, corruptions, one_hot_attention_params,
-                      oracle_from_params, unit_rows)
+                      oracle_from_params, traced_peak, unit_rows)
 
 FLAVORS = list(Flavor)
 
@@ -230,17 +230,16 @@ def test_prepare_gallery_takes_float32_rows_and_leaves_them_alone(flavor):
     assert np.array_equal(r_rows, kept)
 
 
-@pytest.mark.parametrize("flavor", [Flavor.LATE_FUSION, Flavor.ARTEMIS])
+@pytest.mark.parametrize("flavor", FLAVORS)
 def test_pairwise_accepts_prepared_gallery(flavor):
+    """A gallery prepared under any flavor scores every flavor like a fresh one."""
     dims = HeadDims(8, 8, 8)
     params = init_params(dims, seed=7)
     r_rows, m_rows, t_rows = _toy_batch(dims, 4, 9, seed=7)
     gallery = prepare_gallery(t_rows, dims, flavor)
-    assert np.array_equal(pairwise_scores(r_rows, m_rows, gallery, params, flavor),
-                          pairwise_scores(r_rows, m_rows, t_rows, params, flavor))
-    with pytest.raises(ShapeMismatch):   # prepared without the squares artemis needs
-        pairwise_scores(r_rows, m_rows, prepare_gallery(t_rows, dims, Flavor.LATE_FUSION),
-                        params, Flavor.ARTEMIS)
+    for scored in FLAVORS:
+        assert np.array_equal(pairwise_scores(r_rows, m_rows, gallery, params, scored),
+                              pairwise_scores(r_rows, m_rows, t_rows, params, scored))
     narrow = prepare_gallery(t_rows[:, :5], HeadDims(8, 5, 8), flavor)
     with pytest.raises(ShapeMismatch):
         pairwise_scores(r_rows, m_rows, narrow, params, flavor)
@@ -297,39 +296,59 @@ def test_pair_norm_guard_fires_in_the_last_tile(flavor):
     gallery = prepare_gallery(np.abs(rng.standard_normal((2 * SCORE_TILE + 5, dim))) + 0.1,
                               params.dims, flavor)
     scores_from_state(state, gallery)
-    gallery.tn_sq[-1, 4] = np.nan
+    gallery.tn[-1, 4] = np.nan
     with pytest.raises(NearZeroNorm, match="nan") as err:
         scores_from_state(state, gallery)
     assert err.value.row == 0
 
 
 def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
-    """Every (Q, G) temporary but the result is at most a tile wide."""
+    """Scoring holds the (Q, G) result and three tile buffers: squares, norms, dots."""
     dims = HeadDims(8, 8, 8)
     params = init_params(dims, seed=3)
     r_rows, m_rows, t_rows = _toy_batch(dims, 64, 8 * SCORE_TILE + 5, seed=3)
     state = encode_queries(r_rows, m_rows, params, Flavor.ARTEMIS)
     gallery = prepare_gallery(t_rows, dims, Flavor.ARTEMIS)
-    tracemalloc.start()
-    try:
-        scores = scores_from_state(state, gallery)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    scores, peak = traced_peak(lambda: scores_from_state(state, gallery))
     q, g = scores.shape
-    assert peak <= q * g * 8 + 8 * q * SCORE_TILE * 8
+    tiles = 2 * q * SCORE_TILE * 8 + SCORE_TILE * dims.h_i * 8
+    # Writing a tile into the result's strided columns makes numpy's ufunc
+    # iterator buffer two operands (getbufsize() values each); the rest is
+    # views and other small objects.
+    assert peak <= q * g * 8 + tiles + 2 * 8 * np.getbufsize() + 16 * 1024
 
 
-def test_late_fusion_gallery_peak_memory_is_one_float64_copy_plus_chunks():
-    """Normalizing a float32 bank builds no second bank-sized array."""
+@pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
+@pytest.mark.parametrize("n_queries", [1, 3, 64])
+@pytest.mark.parametrize("n_rows", [1, SCORE_TILE, 2 * SCORE_TILE + 5])
+def test_tiled_scores_equal_channel_scores(flavor, n_queries, n_rows):
+    """Reused tile buffers move no bit: each tile scores as ``_channel_scores``
+    does on its rows, and one tile as it does on the whole gallery.
+
+    A whole-gallery gemm may differ in the last bits from a last tile whose
+    width is not a multiple of 8 (1.5 ulp seen on OpenBLAS), so a gallery of
+    several tiles is held to a few ulps of it.
+    """
+    dims = HeadDims(32, 32, 16)
+    params = init_params(dims, seed=n_queries)
+    r_rows, m_rows, t_rows = _toy_batch(dims, n_queries, n_rows, seed=n_rows)
+    state = encode_queries(r_rows, m_rows, params, flavor)
+    gallery = prepare_gallery(t_rows, dims, flavor)
+    tn = gallery.tn
+    got = scores_from_state(state, gallery)
+    tiles = [_channel_scores(state.channels, tn[lo:lo + SCORE_TILE])
+             for lo in range(0, n_rows, SCORE_TILE)]
+    assert np.array_equal(got, np.concatenate(tiles, axis=1))
+    whole = _channel_scores(state.channels, tn)
+    np.testing.assert_allclose(got, whole, rtol=0, atol=4 * np.finfo(np.float64).eps)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
+def test_gallery_peak_memory_is_one_float64_copy_plus_chunks(flavor):
+    """Normalizing a float32 bank builds no second bank-sized array, for any flavor."""
     n, dim = 4 * NORM_ROWS + 5, 64
     t_rows = np.random.default_rng(5).standard_normal((n, dim)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        gallery = prepare_gallery(t_rows, HeadDims(dim, dim, dim), Flavor.LATE_FUSION)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    gallery, peak = traced_peak(lambda: prepare_gallery(t_rows, HeadDims(dim, dim, dim), flavor))
     assert gallery.tn.shape == (n, dim)
     assert peak <= n * dim * 8 + n * 8 + 2 * NORM_ROWS * dim * 8
 
