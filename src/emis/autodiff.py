@@ -2,11 +2,11 @@
 
 Covers exactly what the scoring head and its loss need: broadcast
 arithmetic, matmul, relu, squares and square roots, reductions, row
-softmax, row logsumexp, diagonal extraction, and the slices and
-reshapes that split one flat parameter vector. Values are eager
-float64 numpy arrays; each operation appends its output node to a
-``Tape``, so creation order is already a topological order and the
-backward pass is a single reverse sweep.
+softmax, row logsumexp and diagonal extraction. Parameters enter as one
+leaf per block (``head.lift_params``). Values are eager float64 numpy
+arrays; each operation appends its output node to a ``Tape``, so
+creation order is already a topological order and the backward pass is
+a single reverse sweep.
 
 The tape holds its nodes by weak reference; each node holds its parents
 strongly. So a graph lives exactly as long as its root (or a node the
@@ -225,22 +225,6 @@ class Var:
             return out
 
         return Var(np.diagonal(x).copy(), self._tape, (self,), (vjp,))
-
-    def reshape(self, shape):
-        x = self.value
-        return Var(x.reshape(shape), self._tape, (self,), (lambda g: g.reshape(x.shape),))
-
-    def slice_1d(self, start: int, stop: int):
-        x = self.value
-        if x.ndim != 1:
-            raise ShapeMismatch(f"slice_1d expects a vector, got shape {x.shape}")
-
-        def vjp(g: Array) -> Array:
-            out = np.zeros_like(x)
-            out[start:stop] = g
-            return out
-
-        return Var(x[start:stop].copy(), self._tape, (self,), (vjp,))
 
     def __repr__(self) -> str:
         return f"Var(shape={self.value.shape})"

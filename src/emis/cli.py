@@ -151,13 +151,22 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _too_large(args: argparse.Namespace, what: str, *sizes: str) -> ConfigError:
+    named = ", ".join(f"--{name.replace('_', '-')} {getattr(args, name)}" for name in sizes)
+    return ConfigError(f"{named}: cannot allocate {what}")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec(n_attributes=args.n_attributes, dim_i=args.dim_i,
                      dim_t=args.dim_t, n_train=args.n_train, n_eval=args.n_eval,
                      n_val=args.n_val, gallery_size=args.gallery_size,
                      noise_sigma=args.noise_sigma, flip_count=args.flip_count,
                      seed=args.seed)
-    paths = write_synthetic(spec, args.out)
+    try:
+        paths = write_synthetic(spec, args.out)
+    except MemoryError:
+        raise _too_large(args, "the corpus", "n_train", "n_eval", "n_val", "gallery_size",
+                         "n_attributes", "dim_i", "dim_t") from None
     print(json.dumps(paths, indent=2, sort_keys=True))
     return 0
 
@@ -276,10 +285,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         params = load_checkpoint(args.checkpoint)
         if params.dims != dims:
             raise ConfigError(f"checkpoint dims {params.dims} do not match --dim {args.dim}")
+    try:
+        report = bench_latency(bench, params=params)
+    except MemoryError:
+        raise _too_large(args, "the banks and the head", "queries", "gallery", "dim") from None
     print(f"head parameters: {param_count(dims):,}")
     print(f"head MACs per triplet: {head_mac_count(dims):,}")
     print()
-    report = bench_latency(bench, params=params)
     print(report.to_text())
     if args.out:
         Path(args.out).write_text(report.to_json(indent=2) + "\n", encoding="utf-8")

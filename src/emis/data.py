@@ -24,6 +24,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,8 @@ class SynthSpec:
                               "owns at least one image dimension")
         if not 0 <= self.flip_count < self.n_attributes:
             raise SpecInvalid("need 0 <= flip_count < n_attributes")
+        if self._n_hard() and self.flip_count > 63:   # decoy patterns are drawn as int64
+            raise SpecInvalid(f"flip_count must be <= 63 with hard queries, got {self.flip_count}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise SpecInvalid(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.n_train < 1 or self.n_eval < 1 or self.n_val < 0:
@@ -471,12 +474,13 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, TripletSet, SynthInfo]:
 
         pack: list[Array] = []
         if hard_eval[qi] and spec.flip_count > 0:
-            patterns = list(range(2 ** spec.flip_count - 1))  # proper subsets of flips
-            if len(patterns) > spec.direction_decoy_cap:
-                chosen = [0]  # always keep the reference twin
-                chosen += list(rng.choice(np.arange(1, len(patterns)),
-                                          size=spec.direction_decoy_cap - 1, replace=False))
-                patterns = sorted(chosen)
+            n_patterns = 2 ** spec.flip_count - 1  # proper subsets of flips
+            patterns = range(n_patterns)
+            if n_patterns > spec.direction_decoy_cap:
+                # The reference twin 0 plus distinct draws from 1 .. n_patterns - 1.
+                drawn = rng.choice(n_patterns - 1, size=spec.direction_decoy_cap - 1,
+                                   replace=False) + 1
+                patterns = [0, *sorted(drawn)]
             for bits in patterns:
                 decoy = ref.copy()
                 for b, attr in enumerate(flips):
@@ -484,10 +488,8 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Corpus, TripletSet, SynthInfo]:
                         decoy[attr] *= -1.0
                 pack.append(decoy)
         unchanged = [a for a in range(n_attr) if a not in flips]
-        depth1 = [(a,) for a in unchanged]
-        depth2 = [(unchanged[i], unchanged[j])
-                  for i in range(len(unchanged)) for j in range(i + 1, len(unchanged))]
-        for wrong in (depth1 + depth2)[:spec._near_miss_pack()]:
+        depth1_then_2 = chain(((a,) for a in unchanged), combinations(unchanged, 2))
+        for wrong in islice(depth1_then_2, spec._near_miss_pack()):
             miss = target.copy()
             miss[list(wrong)] *= -1.0
             pack.append(miss)

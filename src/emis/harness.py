@@ -4,7 +4,7 @@ A RunConfig collects every knob one experiment needs. Values come from
 an optional key=value config file; command-line flags win on conflict.
 The ablation runner produces the six-flavor comparison table, the
 bench measures the scoring pipeline's three phases, and the gradient
-suite verifies tape gradients against central differences.
+suite verifies training's tape gradients against central differences.
 """
 
 from __future__ import annotations
@@ -18,14 +18,16 @@ from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
+from . import training
+from .autodiff import Tape
 from .data import (Corpus, SynthSpec, TripletSet, generate_synthetic,
                    load_triplets, write_feature_bank, write_triplets)
 from .errors import ConfigError
 from .evaluation import (CONVENTIONS, DEFAULT_BLOCK_SIZE, MetricReport, evaluate,
                          queries_from_triplets, round_half_up)
 from .head import (ATTENTION_FLAVORS, Flavor, HeadDims, HeadParams, encode_queries,
-                   init_params, pairwise_scores, param_count, prepare_gallery,
-                   scores_from_state, vector_to_params)
+                   gradients_of, init_params, lift_params, pairwise_scores, param_count,
+                   params_to_vector, prepare_gallery, scores_from_state, vector_to_params)
 from .numerics import finite_diff_check, normalize_rows
 from .training import TrainConfig, bbc_loss_from_scores, train
 
@@ -465,25 +467,36 @@ def _run_grad_instance(kind: str, seed: int, dims: HeadDims, tol: float,
     m = normalize_rows(rng.standard_normal((nq, dims.h_t)))
     t = normalize_rows(rng.standard_normal((ng, dims.h_i)))
 
-    def f(vec):
-        params = vector_to_params(vec, dims)
-        scores = pairwise_scores(r, m, t, params, flavor)
+    # The gradient training takes: bbc_loss itself, or its per-block leaves.
+    params = vector_to_params(v0, dims)
+    if what == "bbc":
+        _, grads = training.bbc_loss(r, m, t, params, flavor)
+    else:
+        tape = Tape()
+        live = lift_params(params, tape)
+        tape.backward(pairwise_scores(r, m, t, live, flavor).sum())
+        grads = gradients_of(live, tape)
+
+    def f(vec):   # the plain evaluation path
+        probe = vector_to_params(vec, dims)
+        scores = pairwise_scores(r, m, t, probe, flavor)
         if what == "bbc":
-            return bbc_loss_from_scores(scores, params.gamma)
+            return bbc_loss_from_scores(scores, probe.gamma)
         return scores.sum()
 
     coords = None
     if n_coords is not None and n_coords < v0.size:
         picked = rng.choice(v0.size - 1, size=n_coords - 1, replace=False)
         coords = np.append(picked, v0.size - 1)  # always probe the temperature
-    report = finite_diff_check(f, v0, h=FD_STEP, tol=tol, coords=coords)
+    report = finite_diff_check(f, v0, params_to_vector(grads), h=FD_STEP, tol=tol,
+                               coords=coords)
     return GradCheckInstance(kind=kind, seed=seed, dims=dims,
                              max_error=report.max_error, passed=report.passed)
 
 
 def gradient_check_suite(n_small: int = 104, n_large: int = 3,
                          tol: float = 1e-4, seed: int = 0) -> GradCheckSummary:
-    """Tape gradients vs central differences over the score/loss family.
+    """Training's tape gradients vs central differences over the score/loss family.
 
     Instances cycle through eight check kinds: the two pair scores and
     the batch loss under each flavor. Small-dims instances sweep every

@@ -108,6 +108,7 @@ class HeadParams:
 
 
 # Fixed block order used by checkpoints, flattening, and the optimizer.
+_PARTS = ("w1", "b1", "w2", "b2")   # an attention branch's blocks, in order
 BLOCK_NAMES = (
     "attn_is.w1", "attn_is.b1", "attn_is.w2", "attn_is.b2",
     "attn_em.w1", "attn_em.b1", "attn_em.w2", "attn_em.b2",
@@ -132,25 +133,15 @@ def block_shapes(dims: HeadDims) -> dict[str, tuple[int, ...]]:
 
 def param_blocks(params: HeadParams) -> list[tuple[str, object]]:
     """(name, payload) pairs in the fixed serialization order."""
-    return [
-        ("attn_is.w1", params.attn_is.w1), ("attn_is.b1", params.attn_is.b1),
-        ("attn_is.w2", params.attn_is.w2), ("attn_is.b2", params.attn_is.b2),
-        ("attn_em.w1", params.attn_em.w1), ("attn_em.b1", params.attn_em.b1),
-        ("attn_em.w2", params.attn_em.w2), ("attn_em.b2", params.attn_em.b2),
-        ("proj.w", params.proj_w), ("proj.b", params.proj_b),
-        ("gamma", params.gamma),
-    ]
+    attn = [getattr(b, part) for b in (params.attn_is, params.attn_em) for part in _PARTS]
+    return list(zip(BLOCK_NAMES, attn + [params.proj_w, params.proj_b, params.gamma]))
 
 
 def params_from_blocks(blocks: dict[str, object], dims: HeadDims) -> HeadParams:
-    return HeadParams(
-        attn_is=AttentionParams(blocks["attn_is.w1"], blocks["attn_is.b1"],
-                                blocks["attn_is.w2"], blocks["attn_is.b2"]),
-        attn_em=AttentionParams(blocks["attn_em.w1"], blocks["attn_em.b1"],
-                                blocks["attn_em.w2"], blocks["attn_em.b2"]),
-        proj_w=blocks["proj.w"], proj_b=blocks["proj.b"],
-        gamma=blocks["gamma"], dims=dims,
-    )
+    attn_is, attn_em = (AttentionParams(*(blocks[f"{b}.{part}"] for part in _PARTS))
+                        for b in ("attn_is", "attn_em"))
+    return HeadParams(attn_is, attn_em, blocks["proj.w"], blocks["proj.b"], blocks["gamma"],
+                      dims)
 
 
 def init_params(dims: HeadDims = HeadDims(), seed: int = 0) -> HeadParams:
@@ -361,35 +352,31 @@ def params_to_vector(params: HeadParams) -> Array:
 
 
 def vector_to_params(vec, dims: HeadDims) -> HeadParams:
-    """Rebuild HeadParams from a flat vector (ndarray or tape Var).
+    """Rebuild HeadParams whose blocks are views into one flat float64 vector.
 
-    An ndarray input's blocks are views into it (made contiguous float64).
-    With a Var input every block is a differentiable slice, so a single
-    flat leaf can drive a full-model finite-difference check.
+    ``vec`` is made contiguous float64 first (no copy when it already is).
+    Parameters reach a tape only through ``lift_params``.
     """
-    shapes = block_shapes(dims)
-    is_var = isinstance(vec, Var)
-    if not is_var:
-        if np.ndim(vec) != 1:
-            raise ShapeMismatch(f"expected a flat vector, got shape {np.shape(vec)}")
-        vec = np.ascontiguousarray(vec, dtype=np.float64)
+    if np.ndim(vec) != 1:
+        raise ShapeMismatch(f"expected a flat vector, got shape {np.shape(vec)}")
+    vec = np.ascontiguousarray(vec, dtype=np.float64)
     total = param_count(dims)
-    size = vec.value.size if is_var else vec.size
-    if size != total:
-        raise ShapeMismatch(f"vector has {size} entries, parameters need {total}")
+    if vec.size != total:
+        raise ShapeMismatch(f"vector has {vec.size} entries, parameters need {total}")
     blocks: dict[str, object] = {}
     offset = 0
-    for name in BLOCK_NAMES:
-        shape = shapes[name]
+    for name, shape in block_shapes(dims).items():
         count = math.prod(shape)
-        piece = vec.slice_1d(offset, offset + count) if is_var else vec[offset:offset + count]
-        blocks[name] = piece.reshape(shape)
+        blocks[name] = vec[offset:offset + count].reshape(shape)
         offset += count
     return params_from_blocks(blocks, dims)
 
 
 def lift_params(params: HeadParams, tape: Tape) -> HeadParams:
-    """Copy parameters onto a tape as leaves (one per block)."""
+    """Copy parameters onto a tape as leaves, one per block.
+
+    Training and the gradient check both differentiate through these leaves.
+    """
     blocks = {name: tape.leaf(value_of(v)) for name, v in param_blocks(params)}
     return params_from_blocks(blocks, params.dims)
 

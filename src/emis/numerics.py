@@ -5,8 +5,9 @@
 time so no bank-sized temporary is built, and ``normalize_rows`` the
 one row normalizer: a row whose norm is NaN or <= ``NORM_EPS`` raises
 ``NearZeroNorm``. ``finite_diff_check`` is the ground-truth oracle used
-by the test suite and the ``gradcheck`` CLI command: it compares tape
-gradients against central differences, coordinate by coordinate.
+by the test suite and the ``gradcheck`` CLI command: it compares a given
+analytic gradient against central differences of a plain-array function,
+coordinate by coordinate, and builds no tape.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Var, value_of
+from .autodiff import value_of
 from .errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
 
 Array = np.ndarray
@@ -99,41 +100,41 @@ class FiniteDiffReport:
                 f"{len(self.failures)} failing")
 
 
-def finite_diff_check(f: Callable[[Var], Var], params,
+def finite_diff_check(f: Callable[[Array], float], x, grad,
                       h: float = 1e-3, tol: float = 1e-4,
                       coords: Sequence[int] | None = None) -> FiniteDiffReport:
-    """Compare the tape gradient of ``f`` with central differences.
+    """Compare the analytic gradient ``grad`` of ``f`` at ``x`` with central differences.
 
-    ``f`` maps a parameter Var (any shape) to a scalar Var. A coordinate
+    ``f`` maps a float64 array shaped like ``x`` to a scalar. A coordinate
     passes if its relative error is <= ``tol``, falling back to absolute
     error <= ``FD_ABS_TOL`` when both magnitudes are below ``FD_ABS_FLOOR``.
     ``coords`` restricts the sweep to a subset of flat indices.
     """
-    x0 = np.asarray(params, dtype=np.float64)
-    tape = Tape()
-    leaf = tape.leaf(x0)
-    out = f(leaf)
-    if not isinstance(out, Var) or out.value.size != 1:
-        raise ShapeMismatch("finite_diff_check needs a scalar-valued function")
-    if not np.isfinite(out.value).all():
-        raise NonFiniteGradient("function value is not finite at the check point")
-    tape.backward(out)
-    grad = tape.gradient(leaf)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradient("tape gradient contains non-finite entries")
+    x0 = np.array(x, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != x0.shape:
+        raise ShapeMismatch(f"gradient shape {grad.shape} vs point shape {x0.shape}")
 
     def eval_plain(v: Array) -> float:
-        t = Tape()
-        return float(f(t.leaf(v)).value)
+        out = np.asarray(f(v), dtype=np.float64)
+        if out.size != 1:
+            raise ShapeMismatch("finite_diff_check needs a scalar-valued function")
+        return float(out.reshape(()))
+
+    if not np.isfinite(eval_plain(x0)):
+        raise NonFiniteGradient("function value is not finite at the check point")
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteGradient("analytic gradient contains non-finite entries")
 
     indices: Iterable[int] = range(x0.size) if coords is None else coords
     checks: list[CoordinateCheck] = []
+    shifted = x0.copy()
     for i in indices:
-        shifted = x0.copy()
         shifted.flat[i] = x0.flat[i] + h
         f_plus = eval_plain(shifted)
         shifted.flat[i] = x0.flat[i] - h
         f_minus = eval_plain(shifted)
+        shifted.flat[i] = x0.flat[i]
         numeric = (f_plus - f_minus) / (2.0 * h)
         if not np.isfinite(numeric):
             raise NonFiniteGradient(f"central difference non-finite at index {i}")

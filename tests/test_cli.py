@@ -491,6 +491,45 @@ def test_train_head_too_large_to_allocate_is_a_config_error(dataset, tmp_path):
     assert not (tmp_path / "h.ahp").exists()
 
 
+def test_synth_with_many_flips_draws_its_decoys_without_listing_every_pattern(tmp_path):
+    """2**39 - 1 flip patterns: only the capped draws are built, so 3 GiB is plenty."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "emis", "synth", "--out", str(tmp_path / "corpus"),
+         "--n-attributes", "40", "--flip-count", "39"] + SYNTH_FLAGS,
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert (tmp_path / "corpus" / "targets.afb").is_file()
+
+
+# Sizes of a few PiB: numpy refuses the allocation before touching memory.
+@pytest.mark.parametrize("argv, sizes", [
+    (["bench", "--queries", "1000000000000"],
+     "--queries 1000000000000, --gallery 15000, --dim 512: cannot allocate the banks and the head"),
+    (["bench", "--queries", "4", "--gallery", "1000000000000"],
+     "--queries 4, --gallery 1000000000000, --dim 512: cannot allocate the banks and the head"),
+    (["bench", "--dim", "100000000"],
+     "--queries 12000, --gallery 15000, --dim 100000000: cannot allocate the banks and the head"),
+    (["synth", "--n-train", "1000000000000000"],
+     "--n-train 1000000000000000, --n-eval 40, --n-val 0, --gallery-size 1000, "
+     "--n-attributes 12, --dim-i 64, --dim-t 64: cannot allocate the corpus"),
+    (["synth", "--dim-i", "1000000000000000"],
+     "--n-train 2000, --n-eval 40, --n-val 0, --gallery-size 1000, "
+     "--n-attributes 12, --dim-i 1000000000000000, --dim-t 64: cannot allocate the corpus"),
+], ids=["bench-queries", "bench-gallery", "bench-dim", "synth-n-train", "synth-dim-i"])
+def test_sizes_too_large_to_allocate_are_config_errors(tmp_path, capsys, argv, sizes):
+    if argv[0] == "synth":
+        argv = argv + ["--out", str(tmp_path / "corpus")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"config error: {sizes}\n")
+    assert not (tmp_path / "corpus" / "refs.afb").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "ablate", "bench", "synth", "gradcheck"])
 def test_negative_seed_is_a_config_error_before_any_work(dataset, tmp_path, capsys, command):
     cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)

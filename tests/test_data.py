@@ -385,6 +385,9 @@ def test_synth_spec_validation():
         SynthSpec(dim_i=8)  # fewer image dims than attributes
     with pytest.raises(SpecInvalid):
         SynthSpec(flip_count=12)
+    SynthSpec(n_attributes=80, dim_i=80, flip_count=63)
+    with pytest.raises(SpecInvalid):
+        SynthSpec(n_attributes=80, dim_i=80, flip_count=64)  # 2**64 - 1 direction patterns
     for sigma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(SpecInvalid):
             SynthSpec(noise_sigma=sigma)
@@ -424,15 +427,36 @@ GOLDEN_SYNTH_SHA256 = {
 }
 
 
-def test_synth_bytes_match_golden_digests(tmp_path):
-    corpus, triplets, info = generate_synthetic(small_spec())
+# The same for a spec with 2**6 - 1 = 63 flip patterns against a cap of 5, so
+# its hard queries draw which direction decoys to keep.
+GOLDEN_CAPPED_SYNTH_SHA256 = {
+    "refs.afb": "2384fd5b27c4a78baac7fb8a7ba211e7c006bd2066fe14722f35a6a5d0409844",
+    "mods.afb": "ef79f98b72694a8b02065affdb105017df7f0235a6aa00e80fefa6ce55404c9c",
+    "targets.afb": "3c1c53306f4fff48994f2b76e57be40704c5aa0c131fb8aaa47f38756eb5a9ab",
+    "triplets.jsonl": "0fb3bb4b3a2e3983732cd05f3c58fad6f197d41f541d0eaaed6337a7478d97b5",
+    "subsets.jsonl": "ff5c3e6804be2b864684790075e5e982dab30c81be55afc4083d2016b60b85c6",
+    "latents.json": "8af8730790bbb693ee7725469cfd17d1f88fa7e7c5ae59fda1e4d4009bae03ce",
+}
+
+
+def synth_digests(spec, out_dir) -> dict[str, str]:
+    corpus, triplets, info = generate_synthetic(spec)
     for name in ("refs", "mods", "targets"):
-        write_feature_bank(getattr(corpus, name), tmp_path / f"{name}.afb")
-    write_triplets(triplets, tmp_path / "triplets.jsonl", tmp_path / "subsets.jsonl")
-    (tmp_path / "latents.json").write_text(info.to_json(), encoding="utf-8")
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in GOLDEN_SYNTH_SHA256}
-    assert digests == GOLDEN_SYNTH_SHA256
+        write_feature_bank(getattr(corpus, name), out_dir / f"{name}.afb")
+    write_triplets(triplets, out_dir / "triplets.jsonl", out_dir / "subsets.jsonl")
+    (out_dir / "latents.json").write_text(info.to_json(), encoding="utf-8")
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SYNTH_SHA256}
+
+
+def test_synth_bytes_match_golden_digests(tmp_path):
+    assert synth_digests(small_spec(), tmp_path) == GOLDEN_SYNTH_SHA256
+
+
+def test_capped_direction_decoys_match_golden_digests(tmp_path):
+    spec = small_spec(flip_count=6, direction_decoy_cap=5)
+    assert 2 ** spec.flip_count - 1 > spec.direction_decoy_cap
+    assert synth_digests(spec, tmp_path) == GOLDEN_CAPPED_SYNTH_SHA256
 
 
 def test_synth_eval_targets_are_unique_latents():

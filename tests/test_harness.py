@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from emis import training
 from emis.data import SynthSpec, generate_synthetic, read_feature_bank
 from emis.errors import ConfigError, ShapeMismatch
 from emis.evaluation import evaluate, queries_from_triplets
@@ -203,6 +204,22 @@ def test_gradient_suite_cycles_kinds_and_passes():
     assert summary.worst <= 1e-4
     text = summary.to_text()
     assert "0 failures" in text
+
+
+def test_gradient_suite_checks_the_gradient_training_takes(monkeypatch):
+    """A fault in training.bbc_loss's gradient fails exactly the loss checks it reaches."""
+    true_loss = training.bbc_loss
+
+    def skewed(*args):
+        loss, grads = true_loss(*args)
+        grads.proj_w = 1.5 * grads.proj_w
+        return loss, grads
+
+    monkeypatch.setattr(training, "bbc_loss", skewed)
+    summary = gradient_check_suite(n_small=8, n_large=0)
+    assert not summary.passed
+    assert {inst.kind for inst in summary.instances if not inst.passed} == {
+        "bbc_em_only", "bbc_artemis"}
 
 
 def test_gradient_suite_reports_failures_under_absurd_tolerance():

@@ -187,7 +187,8 @@ def test_weighted_cosine_length_mismatch():
 
 def test_finite_diff_accepts_correct_gradient():
     x0 = np.array([1.0, -2.0, 0.5])
-    report = finite_diff_check(lambda v: (v.square() * np.array([1.0, 2.0, 3.0])).sum(), x0)
+    weights = np.array([1.0, 2.0, 3.0])
+    report = finite_diff_check(lambda v: (v * v * weights).sum(), x0, 2.0 * x0 * weights)
     assert report.passed
     assert report.n_checked == 3
     assert report.max_error < 1e-6
@@ -197,31 +198,39 @@ def test_finite_diff_flags_wrong_gradient():
     # relu at a kink: x=0 has analytic subgradient 0 but a centered
     # difference of |x|-like slope 1, so the check must fail there.
     x0 = np.array([0.0, 1.0])
-    report = finite_diff_check(lambda v: v.relu().sum(), x0, h=1e-3)
+    report = finite_diff_check(lambda v: np.maximum(v, 0.0).sum(), x0,
+                               (x0 > 0).astype(np.float64), h=1e-3)
     assert not report.passed
     assert any(c.index == 0 for c in report.failures)
 
 
 def test_finite_diff_coordinate_subset():
     x0 = np.arange(6, dtype=np.float64)
-    report = finite_diff_check(lambda v: v.square().sum(), x0, coords=[1, 4])
+    report = finite_diff_check(lambda v: (v * v).sum(), x0, 2.0 * x0, coords=[1, 4])
     assert report.n_checked == 2
     assert report.passed
 
 
 def test_finite_diff_needs_scalar_output():
     with pytest.raises(ShapeMismatch):
-        finite_diff_check(lambda v: v.square(), np.ones(3))
+        finite_diff_check(lambda v: v * v, np.ones(3), 2.0 * np.ones(3))
+
+
+def test_finite_diff_needs_a_gradient_shaped_like_the_point():
+    with pytest.raises(ShapeMismatch):
+        finite_diff_check(lambda v: (v * v).sum(), np.ones(3), np.ones(2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_finite_diff_rejects_non_finite():
     x0 = np.array([1e200, 1e200])
     with pytest.raises(NonFiniteGradient):
-        finite_diff_check(lambda v: (v * v).sum() * 1e200, x0)
+        finite_diff_check(lambda v: (v * v).sum() * 1e200, x0, np.zeros(2))
+    with pytest.raises(NonFiniteGradient):
+        finite_diff_check(lambda v: (v * v).sum(), np.ones(2), np.array([2.0, np.nan]))
 
 
 def test_finite_diff_report_str():
-    report = finite_diff_check(lambda v: v.square().sum(), np.ones(2))
+    report = finite_diff_check(lambda v: (v * v).sum(), np.ones(2), 2.0 * np.ones(2))
     assert "pass" in str(report)
     assert "2 coordinates" in str(report)

@@ -140,7 +140,8 @@ def test_loss_gradients_match_finite_differences(flavor):
         return bbc_loss_from_scores(pairwise_scores(r, m, t, params, flavor),
                                     params.gamma)
 
-    report = finite_diff_check(f, vec, h=h, tol=1e-4)
+    _, grads = bbc_loss(r, m, t, start, flavor)
+    report = finite_diff_check(f, vec, params_to_vector(grads), h=h, tol=1e-4)
     assert report.passed, str(report)
 
 
