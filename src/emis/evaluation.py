@@ -2,8 +2,9 @@
 
 Candidates are ordered by descending score with ascending-id
 tie-breaks, so results are deterministic. The streaming evaluator
-prepares the gallery once per call, from the target bank's raw rows,
-and scores the queries block by block against it, normalizing each
+prepares the gallery once per call, from the target bank's raw rows
+(kept raw beside their norms when a single block reads them), and
+scores the queries block by block against it, normalizing each
 block's raw query rows as it gathers them. A query's rank is one plus
 the number of candidates ahead of its first ground truth (scoring
 higher, or tied with a lower id), counted block-wide; subset ranks
@@ -251,7 +252,8 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
     index = {gid: i for i, gid in enumerate(gallery_ids)}
     id_rank = _id_rank_of(gallery_ids)
     try:
-        gallery = head.prepare_gallery(corpus.targets.data, params.dims, flavor)
+        gallery = head.prepare_gallery(corpus.targets.data, params.dims, flavor,
+                                       one_pass=len(queries) <= block_size)
     except NearZeroNorm:
         raise_zero_norm_row(corpus, targets=np.arange(n_gallery))
         raise
@@ -287,13 +289,17 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
             gt_cols.append(cols)
         # Id ranks are unique, so the order is total and the best rank is
         # that of the first ground truth: count the candidates ahead of it.
+        # Each comparison is counted before the next is made, so at most one
+        # (Q, G) bool array is alive, and only a row with a tie besides its
+        # ground truth runs the id-rank test.
         first = np.array([_first(row, cols, id_rank) for row, cols in zip(block, gt_cols)])
-        rows = np.arange(hi - lo)
-        ahead = _ahead(block, id_rank, block[rows, first][:, None], id_rank[first][:, None])
-        block_ranks = 1 + ahead.sum(axis=1)
+        s, r = block[np.arange(hi - lo), first], id_rank[first]
+        block_ranks = 1 + np.count_nonzero(block > s[:, None], axis=1)
+        for i in np.flatnonzero(np.count_nonzero(block == s[:, None], axis=1) > 1):
+            block_ranks[i] += np.count_nonzero((block[i] == s[i]) & (id_rank < r[i]))
         for i, col in enumerate(excluded):
             if col is not None:
-                block_ranks[i] -= ahead[i, col]
+                block_ranks[i] -= _ahead(block[i, col], id_rank[col], s[i], r[i])
         block_subset = None
         if with_subsets:
             block_subset = np.empty(hi - lo, dtype=np.int64)

@@ -195,13 +195,19 @@ def resolve_dims(config: RunConfig, corpus: Corpus) -> HeadDims:
 
 
 def write_synthetic(spec: SynthSpec, out_dir) -> dict[str, str]:
-    """Generate the synthetic benchmark and write every artifact file."""
+    """Generate the synthetic benchmark and write every artifact file.
+
+    The directory is made only once the corpus exists, so a failed
+    generation leaves nothing behind.
+    """
     out = Path(out_dir)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ConfigError(f"out path {str(out_dir)!r} is not a directory")
+    corpus, triplets, info = generate_synthetic(spec)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"out path {str(out_dir)!r} is not a directory") from None
-    corpus, triplets, info = generate_synthetic(spec)
     paths = {
         "refs": out / "refs.afb", "mods": out / "mods.afb",
         "targets": out / "targets.afb", "triplets": out / "triplets.jsonl",

@@ -16,8 +16,10 @@ times individually. Both attention scores have one form, the attended
 cosine cos(u, a * t), so a query is a list of channels that scoring
 sums without asking which flavor built them. Plain-array attention
 states are scored ``SCORE_TILE`` gallery rows at a time through three
-tile buffers (squares, pair norms, dot products), so a block's peak
-memory is its (Q, G) result plus those; the pair-norm guard runs per tile.
+tile buffers (squares, pair norms, dot products), plus a fourth for the
+tile's unit rows when the gallery is held as raw rows and norms, so a
+block's peak memory is its (Q, G) result plus those; the pair-norm guard
+runs per tile.
 
 Plain-array parameter blocks are views into one float64 vector.
 """
@@ -35,16 +37,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var, value_of
 from .errors import BadMagic, ConfigError, NonFiniteData, ShapeMismatch, TruncatedFile
-from .numerics import guard_norms, normalize_rows
+from .numerics import guard_norms, normalize_rows, row_norms
 
 Array = np.ndarray
 
 GAMMA_INIT = 10.0
 GAMMA_MIN = 1e-3
 
-# Gallery rows per scoring tile for the attention flavors. A multiple of 8:
-# on the OpenBLAS kernels measured such tiles keep the whole-gallery gemm's
-# bits, while other widths (a last tile of G % 8 != 0 rows too) move last bits.
+# Gallery rows per scoring tile for the attention flavors; it sizes the tile
+# buffers: squares and, for a one-pass gallery, unit rows (SCORE_TILE x D),
+# pair norms and dot products (Q x SCORE_TILE). A multiple of 8: on the
+# OpenBLAS kernels measured such tiles keep the whole-gallery gemm's bits,
+# while other widths (a last tile of G % 8 != 0 rows too) move last bits.
 SCORE_TILE = 2048
 
 
@@ -213,9 +217,16 @@ class QueryState:
 
 @dataclass
 class GalleryState:
-    """Candidate-side array: the unit gallery rows, the same for every flavor."""
+    """Candidate-side arrays, which every flavor can score.
+
+    ``tn`` (G, D) holds the unit float64 gallery rows; or, when ``norms``
+    is set, the raw rows (float32 bank rows, say) and ``norms`` their
+    guarded float64 norms, and scoring divides each tile into unit rows
+    as it reads it.
+    """
 
     tn: Array
+    norms: Array | None = None
 
 
 def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryState:
@@ -268,17 +279,26 @@ def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryS
     return QueryState(flavor, n, channels)
 
 
-def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
-    """Candidate-side phase: normalize once; the state is the same for every flavor.
+def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor,
+                    one_pass: bool = False) -> GalleryState:
+    """Candidate-side phase: normalize once.
 
     ``t_rows`` may be float32 bank rows; the normalized float64 rows are
-    the one widened copy.
+    the one widened copy, and the state is the same for every flavor.
+    With ``one_pass`` (the caller scores a single query block against the
+    state), an attention flavor keeps ``t_rows`` and their guarded norms
+    instead, and scoring builds each tile's unit rows, bit for bit those
+    of ``normalize_rows``: no G x D float64 copy is made.
     """
     t_rows = np.asarray(t_rows)
     if t_rows.ndim != 2:
         raise ShapeMismatch("prepare_gallery expects a 2-D row block")
     if t_rows.shape[1] != dims.h_i:
         raise ShapeMismatch(f"candidate width {t_rows.shape[1]} vs h_i {dims.h_i}")
+    if one_pass and flavor in ATTENTION_FLAVORS:
+        norms = row_norms(t_rows)
+        guard_norms(norms, "row to normalize")
+        return GalleryState(tn=t_rows, norms=norms)
     return GalleryState(tn=normalize_rows(t_rows))
 
 
@@ -302,15 +322,19 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
 
     Plain-array gated states are scored ``SCORE_TILE`` gallery rows at a
     time, in tile buffers made once per call, to ``_channel_scores``'s bits
-    on each tile. Tape states and the ungated gemm are scored whole.
+    on each tile; a gallery of raw rows and norms gets a fourth buffer for
+    each tile's unit rows. Tape states and the ungated gemm are scored whole.
     """
-    channels, tn = queries.channels, gallery.tn
+    channels, tn, norms = queries.channels, gallery.tn, gallery.norms
     if isinstance(channels[0][0], Var) or any(sq is None for _, sq in channels):
-        return _channel_scores(channels, tn)
+        return _channel_scores(channels, tn if norms is None else tn / norms[:, None])
     q, g, w = channels[0][0].shape[0], tn.shape[0], min(tn.shape[0], SCORE_TILE)
     out, t_sq, flat = np.empty((q, g)), np.empty((w, tn.shape[1])), np.empty((2, q * w))
+    unit = None if norms is None else np.empty_like(t_sq)
     for lo in range(0, g, SCORE_TILE):
         t = tn[lo:lo + SCORE_TILE]
+        if unit is not None:   # float64(x) / n, as normalize_rows divides
+            t = np.divide(t, norms[lo:lo + SCORE_TILE, None], out=unit[:len(t)])
         sq_t, o = np.multiply(t, t, out=t_sq[:len(t)]), out[:, lo:lo + len(t)]
         n, d = flat[:, :q * len(t)].reshape(2, q, len(t))   # contiguous, ragged or not
         for k, (x, sq) in enumerate(channels):

@@ -361,6 +361,27 @@ def test_zero_norm_target_row_is_named(dataset, tmp_path, capsys):
     assert "r_at_1" not in out
 
 
+@pytest.mark.parametrize("block_size", [256, 2], ids=["one-block", "three-blocks"])
+def test_near_zero_target_row_exits_3_on_either_scoring_path(dataset, tmp_path, capsys,
+                                                             block_size):
+    """The 5 eval queries fit one block (raw gallery rows and norms) or take
+    three (unit rows); a row of norm 8e-15 stops both, named."""
+    raw = bytearray((dataset / "targets.afb").read_bytes())
+    dim = struct.unpack_from("<I", raw, 12)[0]
+    raw[16 + 4 * 7 * dim:16 + 4 * 8 * dim] = struct.pack(f"<{dim}f", *[1e-15] * dim)
+    targets = tmp_path / "targets.afb"
+    targets.write_bytes(bytes(raw))
+    ids_sidecar(targets).write_text(ids_sidecar(dataset / "targets.afb").read_text())
+    cfg = config_file(tmp_path / "run.cfg", dataset, block_size=block_size)
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(init_params(HeadDims(dim, dim, dim), seed=0), ckpt)
+    code, out, err = run_cli(capsys, "eval", "--config", cfg, "--targets", str(targets),
+                             "--checkpoint", str(ckpt))
+    assert code == 3
+    assert err.startswith("error: targets bank row 7 (id 't00007') has norm 8.0")
+    assert out == ""
+
+
 def test_train_names_a_zero_norm_target_row(dataset, tmp_path, capsys):
     _, record = first_record(dataset, "train")
     row = int(record["tgt"][1:])
@@ -528,6 +549,7 @@ def test_sizes_too_large_to_allocate_are_config_errors(tmp_path, capsys, argv, s
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"config error: {sizes}\n")
     assert not (tmp_path / "corpus" / "refs.afb").exists()
+    assert not (tmp_path / "corpus").exists()   # the directory is made only after generating
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "ablate", "bench", "synth", "gradcheck"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emis import evaluation
+from emis import evaluation, head
 from emis.data import Corpus, FeatureBank
 from emis.errors import (
     ConfigError,
@@ -329,6 +329,33 @@ def test_evaluate_normalizes_gallery_rows_only_in_prepare_gallery(tmp_path, monk
                       dump_path=tmp_path / "b.jsonl")
     assert report.to_json() == expected.to_json()
     assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+
+
+def test_one_block_evaluate_builds_no_float64_gallery_copy():
+    """Queries that fit one block score a float32 gallery's raw rows and norms,
+    so the call's peak stays under one G x D float64 array; a two-block call
+    still prepares the unit rows once, and both report the same metrics."""
+    n_queries, n_gallery, dim = 8, 20000, 128
+    corpus = make_corpus(n_queries, n_gallery, dim, seed=9)
+    queries = simple_queries(corpus, np.random.default_rng(9))
+    params = init_params(HeadDims(dim, dim, dim), seed=4)
+    one, peak = traced_peak(lambda: evaluate(queries, corpus, params, Flavor.ARTEMIS))
+    assert peak < n_gallery * dim * 8
+    with mock.patch.object(head, "prepare_gallery", wraps=head.prepare_gallery) as prepare:
+        two = evaluate(queries, corpus, params, Flavor.ARTEMIS, block_size=n_queries // 2)
+    assert prepare.call_count == 1 and prepare.call_args.kwargs == {"one_pass": False}
+    assert two.to_json() == one.to_json()
+
+
+@pytest.mark.parametrize("block_size", [8, 3], ids=["one-block", "three-blocks"])
+@pytest.mark.parametrize("bad", [0.0, 1e-14, np.nan])
+def test_degenerate_target_row_raises_naming_it(block_size, bad):
+    corpus = make_corpus(8, 30, 6, seed=10)
+    corpus.targets.data[17] = bad
+    queries = simple_queries(corpus, np.random.default_rng(10))
+    params = init_params(HeadDims(6, 6, 6), seed=5)
+    with pytest.raises(NearZeroNorm, match=r"^targets bank row 17 \(id 't017'\) has norm "):
+        evaluate(queries, corpus, params, Flavor.ARTEMIS, block_size=block_size)
 
 
 def test_evaluate_empty_queries():

@@ -237,9 +237,12 @@ def test_pairwise_accepts_prepared_gallery(flavor):
     params = init_params(dims, seed=7)
     r_rows, m_rows, t_rows = _toy_batch(dims, 4, 9, seed=7)
     gallery = prepare_gallery(t_rows, dims, flavor)
+    one_pass = prepare_gallery(t_rows, dims, flavor, one_pass=True)
+    assert (one_pass.norms is None) == (flavor not in ATTENTION_FLAVORS)
     for scored in FLAVORS:
-        assert np.array_equal(pairwise_scores(r_rows, m_rows, gallery, params, scored),
-                              pairwise_scores(r_rows, m_rows, t_rows, params, scored))
+        fresh = pairwise_scores(r_rows, m_rows, t_rows, params, scored)
+        assert np.array_equal(pairwise_scores(r_rows, m_rows, gallery, params, scored), fresh)
+        assert np.array_equal(pairwise_scores(r_rows, m_rows, one_pass, params, scored), fresh)
     narrow = prepare_gallery(t_rows[:, :5], HeadDims(8, 5, 8), flavor)
     with pytest.raises(ShapeMismatch):
         pairwise_scores(r_rows, m_rows, narrow, params, flavor)
@@ -282,6 +285,7 @@ def test_tiled_scores_match_oracle_and_tape_in_every_tile(flavor):
 
 @pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
 def test_pair_norm_guard_fires_in_the_last_tile(flavor):
+    """Over unit rows, and over raw rows and norms (a one-pass gallery)."""
     dim = 8
     params = one_hot_attention_params(dim)
     rng = np.random.default_rng(5)
@@ -289,33 +293,38 @@ def test_pair_norm_guard_fires_in_the_last_tile(flavor):
     t_rows[-2, 0] = 0.0   # unseen by attention on dim 0 only
     state = encode_queries(rng.standard_normal((3, dim)), np.eye(dim)[[2, 3, 0]],
                            params, flavor)
-    gallery = prepare_gallery(t_rows, params.dims, flavor)
-    with pytest.raises(NearZeroNorm, match="attention-weighted candidate has norm 0.0") as err:
+    good = np.abs(rng.standard_normal((2 * SCORE_TILE + 5, dim))) + 0.1
+    for one_pass in (False, True):
+        gallery = prepare_gallery(t_rows, params.dims, flavor, one_pass=one_pass)
+        assert (gallery.norms is not None) == one_pass
+        with pytest.raises(NearZeroNorm,
+                           match="attention-weighted candidate has norm 0.0") as err:
+            scores_from_state(state, gallery)
+        assert err.value.row == 2
+        gallery = prepare_gallery(good.copy(), params.dims, flavor, one_pass=one_pass)
         scores_from_state(state, gallery)
-    assert err.value.row == 2
-    gallery = prepare_gallery(np.abs(rng.standard_normal((2 * SCORE_TILE + 5, dim))) + 0.1,
-                              params.dims, flavor)
-    scores_from_state(state, gallery)
-    gallery.tn[-1, 4] = np.nan
-    with pytest.raises(NearZeroNorm, match="nan") as err:
-        scores_from_state(state, gallery)
-    assert err.value.row == 0
+        gallery.tn[-1, 4] = np.nan
+        with pytest.raises(NearZeroNorm, match="nan") as err:
+            scores_from_state(state, gallery)
+        assert err.value.row == 0
 
 
 def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
-    """Scoring holds the (Q, G) result and three tile buffers: squares, norms, dots."""
+    """Scoring holds the (Q, G) result and three tile buffers: squares, norms,
+    dots; a gallery of raw rows and norms adds one for the tile's unit rows."""
     dims = HeadDims(8, 8, 8)
     params = init_params(dims, seed=3)
     r_rows, m_rows, t_rows = _toy_batch(dims, 64, 8 * SCORE_TILE + 5, seed=3)
     state = encode_queries(r_rows, m_rows, params, Flavor.ARTEMIS)
-    gallery = prepare_gallery(t_rows, dims, Flavor.ARTEMIS)
-    scores, peak = traced_peak(lambda: scores_from_state(state, gallery))
-    q, g = scores.shape
-    tiles = 2 * q * SCORE_TILE * 8 + SCORE_TILE * dims.h_i * 8
-    # Writing a tile into the result's strided columns makes numpy's ufunc
-    # iterator buffer two operands (getbufsize() values each); the rest is
-    # views and other small objects.
-    assert peak <= q * g * 8 + tiles + 2 * 8 * np.getbufsize() + 16 * 1024
+    for one_pass in (False, True):
+        gallery = prepare_gallery(t_rows.astype(np.float32), dims, Flavor.ARTEMIS, one_pass)
+        scores, peak = traced_peak(lambda: scores_from_state(state, gallery))
+        q, g = scores.shape
+        tiles = 2 * q * SCORE_TILE * 8 + (1 + one_pass) * SCORE_TILE * dims.h_i * 8
+        # Writing a tile into the result's strided columns makes numpy's ufunc
+        # iterator buffer two operands (getbufsize() values each); the rest is
+        # views and other small objects.
+        assert peak <= q * g * 8 + tiles + 2 * 8 * np.getbufsize() + 16 * 1024
 
 
 @pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
@@ -341,6 +350,12 @@ def test_tiled_scores_equal_channel_scores(flavor, n_queries, n_rows):
     assert np.array_equal(got, np.concatenate(tiles, axis=1))
     whole = _channel_scores(state.channels, tn)
     np.testing.assert_allclose(got, whole, rtol=0, atol=4 * np.finfo(np.float64).eps)
+    # Raw float32 rows and their norms score as their materialized unit rows.
+    raw = t_rows.astype(np.float32)
+    one_pass = prepare_gallery(raw, dims, flavor, one_pass=True)
+    assert one_pass.tn is raw and one_pass.norms.dtype == np.float64
+    assert np.array_equal(scores_from_state(state, one_pass),
+                          scores_from_state(state, prepare_gallery(raw, dims, flavor)))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
