@@ -43,7 +43,7 @@ SPLITS = ("train", "val", "test")
 
 @dataclass
 class FeatureBank:
-    """Dense float32 embedding rows with unique string ids."""
+    """Dense float32 embedding rows with unique string ids; ``index`` maps id to row."""
 
     ids: list[str]
     data: Array
@@ -58,8 +58,8 @@ class FeatureBank:
         if not finite_rows.all():
             bad = int(np.argmin(finite_rows))
             raise ShapeMismatch(f"row {bad} (id {self.ids[bad]!r}) holds non-finite values")
-        self._index: dict[str, int] = {gid: row for row, gid in enumerate(self.ids)}
-        if len(self._index) != len(self.ids):
+        self.index: dict[str, int] = {gid: row for row, gid in enumerate(self.ids)}
+        if len(self.index) != len(self.ids):
             seen: set[str] = set()
             for i in self.ids:
                 if i in seen:
@@ -76,7 +76,7 @@ class FeatureBank:
 
     def row_of(self, gid: str) -> int:
         try:
-            return self._index[gid]
+            return self.index[gid]
         except KeyError:
             raise UnknownId(f"id {gid!r} not in bank") from None
 

@@ -10,9 +10,10 @@ the number of candidates ahead of its first ground truth (scoring
 higher, or tied with a lower id), counted block-wide; subset ranks
 count over the members only. The sort this equals lives in
 ``tests/rank_oracle.py`` as the ranker's oracle. The top-k dump uses
-exact partial selection: a partition finds the k-th best kept score,
-and only the candidates at or above it (every tie at the boundary
-included) are sorted, with the same tie-break. A NaN score is an
+exact partial selection over the whole block: the least of k segment
+maxima bounds each row's k-th best kept score from below, and only the
+candidates at or above it (every tie at the boundary included) are
+sorted, with the same tie-break. A NaN score is an
 error, never a rank; +-inf scores rank like any other value. Reports
 round to two decimals (half-up) only at emission; internal math keeps
 full precision.
@@ -21,9 +22,11 @@ full precision.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -207,30 +210,67 @@ class Rankings:
     dump_lines: list[str]        # one JSON line per query when a dump was asked for
 
 
-def _top_k(row: Array, k: int, excluded: int | None, id_rank: Array,
-           scratch: Array) -> Array:
-    """Columns of the k best kept candidates of one row, best first.
+def _row_counts(mask: Array) -> Array:
+    """True entries in each row of a 2-D bool mask.
 
-    The row is copied into ``scratch`` with the excluded column at -inf
-    and partitioned there to find the k-th largest score, a lower bound
-    on the k best kept ones (it is the -inf sentinel only when k reaches
-    past the kept columns). Every kept column scoring at least that
-    value (ties at the boundary included) is then sorted by (-score,
-    id rank), and the first k are returned, so the result equals the
-    head of a full sort.
+    One 1-D ``count_nonzero`` per row, which popcounts the row; with
+    ``axis=1`` numpy sums the mask as integers instead, about 4x slower.
     """
-    k = min(k, row.shape[0])
+    return np.fromiter(map(np.count_nonzero, mask), dtype=np.int64, count=mask.shape[0])
+
+
+def _top_k(block: Array, k: int, excluded: Array, id_rank: Array) -> tuple[Array, Array, Array]:
+    """Columns and scores of each row's k best kept candidates, best first.
+
+    ``excluded`` is each row's excluded column, or -1. The rows' results
+    come back to back, with each row's end offset. Each row's first
+    ``k * (G // k)`` columns split into k disjoint segments; with the
+    excluded column held at -inf (and restored, so ``block`` is left as
+    it was), the least of the k segment maxima is a lower bound on the
+    row's k-th best kept score. Every kept candidate at or above it
+    (every tie at the boundary included) is sorted by (row, -score, id
+    rank) and each row keeps its first k, so the result equals the head
+    of a full sort.
+    """
+    q, g = block.shape
+    k = min(k, g)
     if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    np.copyto(scratch, row)
-    if excluded is not None:
-        scratch[excluded] = -np.inf
-    pivot = row.shape[0] - k
-    scratch.partition(pivot)
-    cols = np.flatnonzero(row >= scratch[pivot])
-    if excluded is not None:
-        cols = cols[cols != excluded]
-    return cols[np.lexsort((id_rank[cols], -row[cols]))][:k]
+        return np.empty(0, dtype=np.int64), np.empty(0), np.zeros(q, dtype=np.int64)
+    rows_x = np.flatnonzero(excluded >= 0)
+    held = block[rows_x, excluded[rows_x]]
+    block[rows_x, excluded[rows_x]] = -np.inf
+    bound = block[:, :k * (g // k)].reshape(q, k, g // k).max(axis=2).min(axis=1)
+    block[rows_x, excluded[rows_x]] = held
+    rows, cols = np.divmod(np.flatnonzero(block >= bound[:, None]), g)
+    kept = cols != excluded[rows]
+    rows, cols = rows[kept], cols[kept]
+    scores = block[rows, cols]
+    order = np.lexsort((id_rank[cols], -scores, rows))
+    counts = np.bincount(rows, minlength=q)
+    order = order[np.arange(order.size) - (np.cumsum(counts) - counts)[rows[order]] < k]
+    return cols[order], scores[order], np.cumsum(np.minimum(counts, k))
+
+
+def _json_float(x: float) -> str:
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _dump_lines(first: int, chunk: Sequence[QuerySpec], ranks: Array, gallery_ids: Sequence[str],
+                cols: Array, scores: Array, ends: Array) -> list[str]:
+    """Each query's dump line, the bytes ``json.dumps`` (sorted keys) writes.
+
+    ``cols``, ``scores`` and ``ends`` are ``_top_k``'s output for the
+    queries of ``chunk``, the first of which is query ``first``. Strings
+    go through JSON's own encoder and finite scores through ``repr``, as
+    in ``json.dumps``; only a non-finite score calls ``json.dumps``.
+    """
+    entries = list(map('{{"id": {}, "score": {}}}'.format,
+                       [_json_str(gallery_ids[c]) for c in cols.tolist()],
+                       map(_json_float, scores.tolist())))
+    starts = [0, *ends.tolist()]
+    return [f'{{"mod": {_json_str(q.mod_id)}, "query": {first + i}, "rank": {rank}, '
+            f'"ref": {_json_str(q.ref_id)}, "top": [{", ".join(entries[a:b])}]}}'
+            for i, (q, rank, a, b) in enumerate(zip(chunk, ranks.tolist(), starts, starts[1:]))]
 
 
 def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: Flavor,
@@ -249,7 +289,7 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
         raise ConfigError(f"top-k must be >= 0, got {dump_top_k}")
     gallery_ids = corpus.targets.ids
     n_gallery = len(gallery_ids)
-    index = {gid: i for i, gid in enumerate(gallery_ids)}
+    index = corpus.targets.index
     id_rank = _id_rank_of(gallery_ids)
     try:
         gallery = head.prepare_gallery(corpus.targets.data, params.dims, flavor,
@@ -279,8 +319,8 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
             raise NonFiniteGradient(f"query {bad} ({queries[bad].ref_id}, "
                                     f"{queries[bad].mod_id}) has a NaN score")
         chunk = queries[lo:hi]
-        excluded = [index[q.ref_id] if q.exclude_ref and q.ref_id in index else None
-                    for q in chunk]
+        excluded = np.array([index.get(q.ref_id, -1) if q.exclude_ref else -1 for q in chunk],
+                            dtype=np.int64)
         gt_cols = []
         for q, skip in zip(chunk, excluded):
             cols = [index[g] for g in q.ground_truth if g in index and index[g] != skip]
@@ -289,20 +329,26 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
             gt_cols.append(cols)
         # Id ranks are unique, so the order is total and the best rank is
         # that of the first ground truth: count the candidates ahead of it.
-        # Each comparison is counted before the next is made, so at most one
-        # (Q, G) bool array is alive, and only a row with a tie besides its
-        # ground truth runs the id-rank test.
+        # The equality mask reuses the comparison's buffer, so one (Q, G)
+        # bool array is alive, and only a row with a tie besides its ground
+        # truth runs the id-rank test.
         first = np.array([_first(row, cols, id_rank) for row, cols in zip(block, gt_cols)])
         s, r = block[np.arange(hi - lo), first], id_rank[first]
-        block_ranks = 1 + np.count_nonzero(block > s[:, None], axis=1)
-        for i in np.flatnonzero(np.count_nonzero(block == s[:, None], axis=1) > 1):
+        mask = block > s[:, None]
+        block_ranks = 1 + _row_counts(mask)
+        tied = np.flatnonzero(_row_counts(np.equal(block, s[:, None], out=mask)) > 1)
+        del mask
+        for i in tied:
             block_ranks[i] += np.count_nonzero((block[i] == s[i]) & (id_rank < r[i]))
-        for i, col in enumerate(excluded):
-            if col is not None:
-                block_ranks[i] -= _ahead(block[i, col], id_rank[col], s[i], r[i])
+        for i in np.flatnonzero(excluded >= 0):
+            col = excluded[i]
+            block_ranks[i] -= _ahead(block[i, col], id_rank[col], s[i], r[i])
         block_subset = None
         if with_subsets:
-            block_subset = np.empty(hi - lo, dtype=np.int64)
+            # Each row lists its first ground truth in the subset, then the
+            # members; rows are padded with that first one, never ahead of
+            # itself, so one gather and one comparison count them all.
+            member_lists = []
             for i, q in enumerate(chunk):
                 unknown = [m for m in q.subset_members if m not in index]
                 if unknown:
@@ -312,21 +358,17 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
                 if not cols:
                     raise MissingSubset(f"query ({q.ref_id}, {q.mod_id}): ground truth "
                                         "excluded from its own subset")
-                row, col = block[i], _first(block[i], cols, id_rank)
-                member_cols = np.fromiter(members, dtype=np.int64)
-                block_subset[i] = 1 + _ahead(row[member_cols], id_rank[member_cols],
-                                             row[col], id_rank[col]).sum()
+                member_lists.append([_first(block[i], cols, id_rank), *members])
+            width = max(map(len, member_lists))
+            member_cols = np.array([m + m[:1] * (width - len(m)) for m in member_lists],
+                                   dtype=np.int64)
+            vals = np.take_along_axis(block, member_cols, axis=1)
+            ranks = id_rank[member_cols]
+            block_subset = 1 + _ahead(vals, ranks, vals[:, :1], ranks[:, :1]).sum(axis=1)
         block_dump: list[str] = []
         if dump_top_k is not None:
-            scratch = np.empty(n_gallery, dtype=np.float64)
-            for i, q in enumerate(chunk):
-                row = block[i]
-                top = _top_k(row, dump_top_k, excluded[i], id_rank, scratch)
-                block_dump.append(json.dumps({
-                    "query": lo + i, "ref": q.ref_id, "mod": q.mod_id,
-                    "rank": int(block_ranks[i]),
-                    "top": [{"id": gallery_ids[c], "score": float(row[c])} for c in top],
-                }, sort_keys=True))
+            block_dump = _dump_lines(lo, chunk, block_ranks, gallery_ids,
+                                     *_top_k(block, dump_top_k, excluded, id_rank))
         return block_ranks, block_subset, block_dump
 
     pieces = _map_blocks(eval_block, _blocks(len(queries), block_size), workers)

@@ -400,16 +400,21 @@ def oracle_rank(row, query: QuerySpec, gallery_ids: list[str], members=None) -> 
     return rank_targets(row[cols], query, [gallery_ids[c] for c in cols])
 
 
-SCORE_VALUES = (-np.inf, -1.0, 0.0, 0.25, 0.25 + 2 ** -50, 1.0, np.inf)
+SCORE_VALUES = (-np.inf, -1.0, -0.0, 0.0, 5e-324, 0.25, 0.25 + 2 ** -50, 1.0, 1e16, np.inf)
+# id characters: a plain one, then ones a JSON dump line must escape
+ID_CHARS = 'g"\\\x01\u00e9\u2028'
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_streaming_ranker_matches_sort_oracle(data):
-    n_gallery = data.draw(st.integers(1, 9), label="gallery")
+    # up to 40 columns, so top-k segments hold several columns and need not
+    # divide the gallery
+    n_gallery = data.draw(st.integers(1, 40), label="gallery")
     n_queries = data.draw(st.integers(1, 7), label="queries")
-    # ids in shuffled order, so the id tie-break differs from column order
-    gallery_ids = data.draw(st.permutations([f"g{j}" for j in range(n_gallery)]))
+    # drawn ids, so the id tie-break differs from column order
+    gallery_ids = data.draw(st.lists(st.text(ID_CHARS, max_size=3), min_size=n_gallery,
+                                     max_size=n_gallery, unique=True), label="ids")
     # heavy ties (few distinct values), +-inf, and k-th-boundary ties follow
     scores = np.array(data.draw(st.lists(
         st.lists(st.sampled_from(SCORE_VALUES), min_size=n_gallery, max_size=n_gallery),
