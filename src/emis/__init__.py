@@ -15,9 +15,9 @@ from .data import (Corpus, FeatureBank, SynthInfo, SynthSpec, TripletRecord,
                    read_feature_bank, write_feature_bank, write_triplets)
 from .errors import (BadMagic, BadSplit, CheckFailure, ConfigError, DataError,
                      DuplicateId, EmisError, EmptyInput, EmptySplit,
-                     LengthMismatch, MissingCell, MissingSubset, NearZeroNorm,
-                     NonFiniteData, NonFiniteGradient, ShapeMismatch,
-                     SpecInvalid, TruncatedFile, UnknownId)
+                     MissingCell, MissingSubset, NearZeroNorm, NonFiniteData,
+                     NonFiniteGradient, ShapeMismatch, SpecInvalid,
+                     TruncatedFile, UnknownId)
 from .evaluation import (MetricReport, QuerySpec, Rankings, aggregate_suite,
                          evaluate, median_rank, queries_from_triplets,
                          rank_queries, recall_at_k, round_half_up)
@@ -30,8 +30,7 @@ from .head import (Flavor, HeadDims, HeadParams, head_mac_count,
 from .numerics import finite_diff_check
 from .training import (AdamWState, EpochLog, TrainConfig, TrainResult,
                        adamw_step, bbc_loss, bbc_loss_from_scores,
-                       lr_at_epoch, read_epoch_logs, select_checkpoint, train,
-                       write_epoch_logs)
+                       lr_at_epoch, read_epoch_logs, train, write_epoch_logs)
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,7 @@ __all__ = [
     "AdamWState", "BadMagic", "BadSplit", "BenchConfig", "BenchReport",
     "CheckFailure", "ConfigError", "Corpus", "DataError", "DuplicateId",
     "EmisError", "EmptyInput", "EmptySplit", "EpochLog", "FeatureBank",
-    "Flavor", "HeadDims", "HeadParams", "LengthMismatch", "MetricReport",
+    "Flavor", "HeadDims", "HeadParams", "MetricReport",
     "MissingCell", "MissingSubset", "NearZeroNorm", "NonFiniteData",
     "NonFiniteGradient", "QuerySpec", "Rankings", "RunConfig",
     "ShapeMismatch", "SpecInvalid", "SynthInfo", "SynthSpec", "TrainConfig",
@@ -51,6 +50,6 @@ __all__ = [
     "load_triplets", "lr_at_epoch", "median_rank", "pairwise_scores",
     "queries_from_triplets", "rank_queries", "read_epoch_logs",
     "read_feature_bank", "recall_at_k", "round_half_up", "run_ablation",
-    "save_checkpoint", "select_checkpoint", "train", "write_epoch_logs",
+    "save_checkpoint", "train", "write_epoch_logs",
     "write_feature_bank", "write_synthetic", "write_triplets",
 ]

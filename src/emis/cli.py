@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .data import SynthSpec, read_feature_bank
 from .errors import CheckFailure, ConfigError, DataError, EmisError
-from .evaluation import aggregate_suite, evaluate, queries_from_triplets
+from .evaluation import (CONVENTION_CELLS, aggregate_suite, evaluate,
+                         queries_from_triplets)
 from .harness import (RUN_KEY_TYPES, BenchConfig, RunConfig, ablation_table,
                       bench_latency, gradient_check_suite, load_dataset,
                       make_run_config, read_config_file, require_input_file,
@@ -49,7 +51,7 @@ keys (defaults in parentheses):
   block_size (256)           queries per scoring block
   split (test)               evaluation split
   monitor (val)              comma-separated splits evaluated during training
-  selection_metric (r_at_10) metric tracked for best checkpoints
+  selection_metric (r_at_10) metric whose best epoch train reports per split
   h_hidden (0)               attention hidden width; 0 = target bank width
 """
 
@@ -188,7 +190,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     last = result.logs[-1]
     print(f"trained {config.flavor} for {len(result.logs)} epochs; "
           f"final mean loss {last.loss:.6f}")
-    for split, (epoch, _) in sorted(result.best.items()):
+    for split, epoch in sorted(result.best.items()):
         print(f"best {config.selection_metric} on {split}: epoch {epoch}")
     print(f"checkpoint written to {config.checkpoint}")
     return 0
@@ -204,10 +206,19 @@ def _aggregate_cells(config: RunConfig, cell_args: list[str]) -> int:
         name, path = item.split("=", 1)
         require_input_file(f"cell {name}", path)
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+            # Integers are read as floats, so a huge one is inf, not an overflow.
+            payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+        except (UnicodeDecodeError, json.JSONDecodeError):
             raise DataError(f"cell file {path!r} is not valid JSON") from None
-        cells[name.strip()] = payload.get("metrics", payload)
+        metrics = payload.get("metrics", payload) if isinstance(payload, dict) else None
+        if not isinstance(metrics, dict):
+            raise DataError(f"cell file {path!r} holds no JSON object of metrics")
+        for key in CONVENTION_CELLS[config.convention]:
+            value = metrics.get(key)
+            if key in metrics and not (isinstance(value, float) and math.isfinite(value)):
+                raise DataError(f"cell file {path!r}: {key!r} is {value!r}, "
+                                "not a finite number")
+        cells[name.strip()] = metrics
     if config.convention == "fashioniq":
         report = aggregate_suite(cells, "fashioniq")
     else:

@@ -41,10 +41,6 @@ class NonFiniteGradient(EmisError):
     """A gradient or checked value is NaN or infinite."""
 
 
-class LengthMismatch(EmisError):
-    """Paired series have different lengths (or are empty)."""
-
-
 class EmptyInput(EmisError):
     """A reduction over an empty collection."""
 

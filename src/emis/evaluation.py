@@ -390,9 +390,17 @@ def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: F
     """
     ranked = rank_queries(queries, corpus, params, flavor, block_size, workers,
                           dump_top_k if dump_path is not None else None)
-    ranks, subset_ranks = ranked.ranks, ranked.subset_ranks
-    with_subsets = subset_ranks is not None
+    metrics = _metrics(ranked.ranks, ranked.subset_ranks)
+    if dump_path is not None:
+        lines = ranked.dump_lines
+        with open(dump_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + ("\n" if lines else ""))
+    return MetricReport(label=flavor.value, metrics=metrics, n_queries=len(queries))
 
+
+def _metrics(ranks: Array, subset_ranks: Array | None) -> dict[str, float]:
+    """A report's metrics; the subset ones only when ``subset_ranks`` is given."""
+    with_subsets = subset_ranks is not None
     metrics: dict[str, float] = {}
     for k in RECALL_KS:
         metrics[f"r_at_{k}"] = recall_at_k(ranks, k)
@@ -404,17 +412,22 @@ def evaluate(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: F
                               + metrics["r_at_50"]) / 3.0
     if with_subsets:
         metrics["combined"] = (metrics["r_at_5"] + metrics["r_subset_at_1"]) / 2.0
+    return metrics
 
-    if dump_path is not None:
-        lines = ranked.dump_lines
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-    return MetricReport(label=flavor.value, metrics=metrics, n_queries=len(queries))
+
+def metric_names(with_subsets: bool) -> list[str]:
+    """The sorted metric names ``evaluate`` reports, with or without subsets."""
+    one = np.ones(1, dtype=np.int64)
+    return sorted(_metrics(one, one if with_subsets else None))
 
 
 # -- dataset-convention aggregates ----------------------------------------------
 
-CONVENTIONS = ("fashioniq", "shoes", "cirr")
+# The metric cells each convention reads (per category, for fashioniq).
+CONVENTION_CELLS = {"fashioniq": ("r_at_10", "r_at_50"),
+                    "shoes": ("r_at_1", "r_at_10", "r_at_50"),
+                    "cirr": ("r_at_5", "r_subset_at_1")}
+CONVENTIONS = tuple(CONVENTION_CELLS)
 FASHIONIQ_CATEGORIES = ("dress", "shirt", "toptee")
 
 
@@ -431,7 +444,7 @@ def aggregate_suite(table: Mapping, convention: str) -> MetricReport:
         for category in FASHIONIQ_CATEGORIES:
             if category not in table:
                 raise MissingCell(f"fashioniq aggregate needs category {category!r}")
-            for key in ("r_at_10", "r_at_50"):
+            for key in CONVENTION_CELLS["fashioniq"]:
                 if key not in table[category]:
                     raise MissingCell(f"fashioniq aggregate needs {key!r} for {category!r}")
                 value = float(table[category][key])
@@ -440,14 +453,14 @@ def aggregate_suite(table: Mapping, convention: str) -> MetricReport:
         return MetricReport(label="fashioniq challenge metric", metrics=flat,
                             aggregate=float(np.mean(cells)), convention="fashioniq")
     if convention == "shoes":
-        needed = ("r_at_1", "r_at_10", "r_at_50")
+        needed = CONVENTION_CELLS["shoes"]
         _require_cells(table, needed, "shoes")
         values = {k: float(table[k]) for k in needed}
         return MetricReport(label="shoes average", metrics=values,
                             aggregate=float(np.mean(list(values.values()))),
                             convention="shoes")
     if convention == "cirr":
-        needed = ("r_at_5", "r_subset_at_1")
+        needed = CONVENTION_CELLS["cirr"]
         _require_cells(table, needed, "cirr")
         values = {k: float(table[k]) for k in needed}
         return MetricReport(label="cirr combined", metrics=values,

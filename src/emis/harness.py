@@ -31,8 +31,6 @@ from .head import (ATTENTION_FLAVORS, Flavor, HeadDims, HeadParams, encode_queri
 from .numerics import finite_diff_check, normalize_rows
 from .training import TrainConfig, bbc_loss_from_scores, train
 
-Array = np.ndarray
-
 
 @dataclass
 class RunConfig:
@@ -335,31 +333,23 @@ class BenchReport:
 
 
 def bench_latency(bench: BenchConfig = BenchConfig(),
-                  params: HeadParams | None = None,
-                  data: tuple[Array, Array, Array] | None = None) -> BenchReport:
+                  params: HeadParams | None = None) -> BenchReport:
     """Time the scoring pipeline for late_fusion vs the full model.
 
     Each repeat times three phases per flavor: query-side encoding
     (attention and projection vectors), gallery precompute
     (normalization), and the blocked scoring loop over all
     query-gallery pairs. Blocks are reduced to a checksum so peak
-    memory stays flat at benchmark scale. Inputs default to seeded
-    random banks; pass real banks and a trained checkpoint to measure
-    a live corpus.
+    memory stays flat at benchmark scale. The banks are seeded random
+    rows; pass a trained checkpoint to time its head.
     """
     dims = HeadDims(bench.h_t, bench.h_i, bench.h_hidden)
     if params is None:
         params = init_params(dims, bench.seed)
-    if data is None:
-        rng = np.random.default_rng(bench.seed)
-        r = rng.standard_normal((bench.n_queries, dims.h_i))
-        m = rng.standard_normal((bench.n_queries, dims.h_t))
-        t = rng.standard_normal((bench.gallery_size, dims.h_i))
-    else:
-        r, m, t = (np.asarray(x, dtype=np.float64) for x in data)
-        if r.shape[0] != bench.n_queries or t.shape[0] != bench.gallery_size:
-            raise ConfigError(f"bench data shapes {r.shape[0]}x{t.shape[0]} do not "
-                              f"match config {bench.n_queries}x{bench.gallery_size}")
+    rng = np.random.default_rng(bench.seed)
+    r = rng.standard_normal((bench.n_queries, dims.h_i))
+    m = rng.standard_normal((bench.n_queries, dims.h_t))
+    t = rng.standard_normal((bench.gallery_size, dims.h_i))
 
     sections = {f.value: {s: [] for s in BENCH_SECTIONS} for f in BENCH_FLAVORS}
     totals: dict[str, list[float]] = {f.value: [] for f in BENCH_FLAVORS}

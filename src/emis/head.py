@@ -411,11 +411,6 @@ def gradients_of(lifted: HeadParams, tape: Tape) -> HeadParams:
     return params_from_blocks(blocks, lifted.dims)
 
 
-def copy_params(params: HeadParams) -> HeadParams:
-    """An independent copy whose blocks view one fresh flat vector."""
-    return vector_to_params(params_to_vector(params), params.dims)
-
-
 # -- checkpoint file format ----------------------------------------------------
 
 CHECKPOINT_MAGIC = b"AHP1"

@@ -13,18 +13,18 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, value_of
-from .errors import (ConfigError, EmptySplit, LengthMismatch, NearZeroNorm,
-                     NonFiniteGradient, ShapeMismatch)
-from .head import (Flavor, HeadDims, HeadParams, GAMMA_MIN, copy_params,
-                   gradients_of, init_params, lift_params, pairwise_scores,
-                   param_blocks, param_count, vector_to_params)
+from .errors import (ConfigError, EmptySplit, NearZeroNorm, NonFiniteGradient,
+                     ShapeMismatch)
+from .head import (Flavor, HeadDims, HeadParams, GAMMA_MIN, gradients_of,
+                   init_params, lift_params, pairwise_scores, param_blocks,
+                   param_count, vector_to_params)
 from .numerics import normalize_rows
 
 Array = np.ndarray
@@ -201,39 +201,13 @@ def lr_at_epoch(epoch: int, config: TrainConfig) -> float:
     return config.lr0 * config.lr_decay ** (epoch // config.decay_every)
 
 
-def select_checkpoint(series_a: Sequence[float],
-                      series_b: Sequence[float]) -> tuple[int, int]:
-    """Cross-validate two monitored splits against each other.
-
-    Returns (epoch_to_report_b, epoch_to_report_a): each split is
-    reported at the other split's best epoch. Ties resolve to the
-    earlier epoch.
-    """
-    if len(series_a) == 0 or len(series_b) == 0:
-        raise LengthMismatch("selection series must be nonempty")
-    if len(series_a) != len(series_b):
-        raise LengthMismatch(f"series lengths differ: {len(series_a)} vs {len(series_b)}")
-    return _argmax_earliest(series_a), _argmax_earliest(series_b)
-
-
-def _argmax_earliest(series: Sequence[float]) -> int:
-    best, best_idx = None, 0
-    for i, v in enumerate(series):
-        if best is None or v > best:
-            best, best_idx = v, i
-    return best_idx
-
-
 @dataclass
 class TrainResult:
-    """Final parameters, the epoch log, and best-checkpoint snapshots."""
+    """Final parameters, the epoch log, and each monitored split's best epoch."""
 
     params: HeadParams
     logs: list[EpochLog]
-    best: dict[str, tuple[int, HeadParams]] = field(default_factory=dict)
-
-    def metric_series(self, split: str, metric: str) -> list[float]:
-        return [log.metrics[split][metric] for log in self.logs]
+    best: dict[str, int]
 
 
 def train(triplets, corpus, config: TrainConfig,
@@ -245,11 +219,13 @@ def train(triplets, corpus, config: TrainConfig,
 
     ``triplets`` is a TripletSet and ``corpus`` a Corpus of banks (see
     data module). Splits listed in ``monitor`` that actually exist are
-    evaluated after every epoch and tracked for best checkpoints.
+    evaluated after every epoch; ``best`` holds the epoch at which each
+    scored highest on ``selection_metric`` (the earlier epoch on ties).
     """
     # Imported per call, not for a cycle (none exists): perfbench wraps evaluation.evaluate.
     from .data import Corpus
-    from .evaluation import evaluate, queries_from_triplets, raise_zero_norm_row
+    from .evaluation import (evaluate, metric_names, queries_from_triplets,
+                             raise_zero_norm_row)
 
     if not isinstance(corpus, Corpus):
         raise ConfigError("corpus must be a data.Corpus")
@@ -282,10 +258,17 @@ def train(triplets, corpus, config: TrainConfig,
     monitored = [s for s in monitor if triplets.split(s)]
     split_queries = {s: queries_from_triplets(triplets, s, exclude_ref=exclude_ref)
                      for s in monitored}
+    # Checked before the first step, on every split it would be read from;
+    # with none monitored, against every name a report can hold.
+    for with_subsets in [all(q.subset_members is not None for q in split_queries[s])
+                         for s in monitored] or [True]:
+        names = metric_names(with_subsets)
+        if selection_metric not in names:
+            raise ConfigError(f"selection metric {selection_metric!r} not in "
+                              f"evaluation output {names}")
 
     n = len(train_records)
     logs: list[EpochLog] = []
-    best: dict[str, tuple[int, float, HeadParams]] = {}
     for epoch in range(config.epochs):
         started = time.perf_counter()
         lr = lr_at_epoch(epoch, config)
@@ -319,17 +302,14 @@ def train(triplets, corpus, config: TrainConfig,
             except (NearZeroNorm, NonFiniteGradient) as exc:
                 raise type(exc)(f"epoch {epoch}, monitor {split}: {exc}") from exc
             metrics[split] = report.metrics
-            value = report.metrics.get(selection_metric)
-            if value is None:
-                raise ConfigError(f"selection metric {selection_metric!r} not in "
-                                  f"evaluation output {sorted(report.metrics)}")
-            if split not in best or value > best[split][1]:
-                best[split] = (epoch, value, copy_params(params))
         logs.append(EpochLog(epoch=epoch, loss=float(np.mean(losses)), lr=lr,
                              metrics=metrics,
                              seconds=time.perf_counter() - started))
-    return TrainResult(params=params, logs=logs,
-                       best={s: (e, p) for s, (e, _, p) in best.items()})
+    best = {}
+    for split in monitored:
+        series = [log.metrics[split][selection_metric] for log in logs]
+        best[split] = series.index(max(series))   # the earlier epoch on ties
+    return TrainResult(params=params, logs=logs, best=best)
 
 
 def write_epoch_logs(logs: Sequence[EpochLog], path) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emis import cli, evaluation, harness
+from emis import cli, evaluation, harness, training
 from emis.cli import build_parser, main
 from emis.data import (FeatureBank, TripletRecord, TripletSet, ids_sidecar,
                        read_feature_bank, write_feature_bank, write_triplets)
@@ -263,6 +263,32 @@ def test_cells_bad_entries(tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--convention", "cirr",
                            "--cells", f"only={bad}")
     assert code == 3
+
+
+SHOES_CELL = {"r_at_1": 10.0, "r_at_10": 20.0, "r_at_50": 30.0}
+
+
+@pytest.mark.parametrize("raw, key", [
+    (b"AHP1\xff\xfe\x00", None),                                   # not UTF-8
+    (b"[1.0, 2.0]", None),                                           # a JSON list
+    (json.dumps({"metrics": [1.0]}).encode(), None),                 # metrics not an object
+    (json.dumps({**SHOES_CELL, "r_at_10": "20"}).encode(), "r_at_10"),
+    (json.dumps({"metrics": {**SHOES_CELL, "r_at_1": None}}).encode(), "r_at_1"),
+    (json.dumps({**SHOES_CELL, "r_at_50": True}).encode(), "r_at_50"),
+    (json.dumps({**SHOES_CELL, "r_at_1": float("nan")}).encode(), "r_at_1"),
+    (json.dumps({**SHOES_CELL, "r_at_10": float("-inf")}).encode(), "r_at_10"),
+    (b'{"r_at_1": 1' + b"0" * 400 + b', "r_at_10": 2.0, "r_at_50": 3.0}', "r_at_1"),
+], ids=["not-utf8", "list", "metrics-list", "string", "null", "bool", "nan", "inf",
+        "huge-int"])
+def test_malformed_cell_is_a_data_error_naming_file_and_key(tmp_path, capsys, raw, key):
+    cell = tmp_path / "cell.json"
+    cell.write_bytes(raw)
+    code, out, err = run_cli(capsys, "eval", "--convention", "shoes",
+                             "--cells", f"only={cell}")
+    assert code == 3
+    assert str(cell) in err and "Traceback" not in err
+    assert key is None or repr(key) in err
+    assert out == ""
 
 
 def test_ablate_writes_table(dataset, tmp_path, capsys):
@@ -680,6 +706,22 @@ def test_unknown_split_names_are_config_errors(dataset, tmp_path, capsys):
     assert code == 2
     assert "'vall'" in err
     assert "r_at_1" not in out
+
+
+@pytest.mark.parametrize("monitor", ["val", ""])
+def test_unknown_selection_metric_is_refused_before_any_step(dataset, tmp_path, capsys,
+                                                             monkeypatch, monitor):
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "bbc_loss", no_step)
+    cfg = config_file(tmp_path / "run.cfg", dataset, epochs=1, batch_size=16)
+    ckpt = tmp_path / "h.ahp"
+    code, out, err = run_cli(capsys, "train", "--config", cfg, "--monitor", monitor,
+                             "--selection-metric", "bogus", "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "'bogus' not in evaluation output" in err and "'r_at_10'" in err
+    assert out == "" and not ckpt.exists()
 
 
 def test_corrupt_checkpoint_is_data_error(dataset, tmp_path, capsys):

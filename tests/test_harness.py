@@ -5,7 +5,7 @@ import pytest
 
 from emis import training
 from emis.data import SynthSpec, generate_synthetic, read_feature_bank
-from emis.errors import ConfigError, ShapeMismatch
+from emis.errors import ConfigError
 from emis.evaluation import evaluate, queries_from_triplets
 from emis.harness import (
     BENCH_SECTIONS,
@@ -181,17 +181,6 @@ def test_bench_latency_structure():
     assert parsed["config"]["n_queries"] == 48
     text = report.to_text()
     assert "artemis" in text and "scoring" in text
-
-
-def test_bench_latency_rejects_mismatched_data():
-    bench = BenchConfig(n_queries=8, gallery_size=16, h_t=8, h_i=8,
-                        h_hidden=8, repeats=1, block_size=8)
-    rng = np.random.default_rng(0)
-    rows = lambda n, d: rng.standard_normal((n, d))
-    with pytest.raises(ConfigError):     # wrong query count
-        bench_latency(bench, data=(rows(5, 8), rows(5, 8), rows(16, 8)))
-    with pytest.raises(ShapeMismatch):   # right counts, wrong width
-        bench_latency(bench, data=(rows(8, 4), rows(8, 8), rows(16, 8)))
 
 
 # -- gradient check suite ----------------------------------------------------------------

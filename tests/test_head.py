@@ -15,7 +15,6 @@ from emis.head import (
     HeadDims,
     _channel_scores,
     block_shapes,
-    copy_params,
     encode_queries,
     gradients_of,
     head_mac_count,
@@ -449,25 +448,13 @@ def test_vector_to_params_rejects_wrong_size():
         vector_to_params(np.zeros(10), HeadDims(7, 5, 3))
 
 
-def test_copy_params_is_independent():
-    params = init_params(HeadDims(4, 4, 4), seed=0)
-    clone = copy_params(params)
-    assert_one_flat_buffer(clone)
-    assert not np.shares_memory(clone.attn_is.w1.base, params.attn_is.w1.base)
-    clone.attn_is.w1[0, 0] += 1.0
-    clone.gamma[...] = 3.0
-    assert params.attn_is.w1[0, 0] != clone.attn_is.w1[0, 0]
-    assert float(params.gamma) == 10.0
-
-
 def test_params_builders_share_one_flat_buffer(tmp_path):
     dims = HeadDims(5, 4, 3)
     params = init_params(dims, seed=2)
     save_checkpoint(params, tmp_path / "head.ahp")
     vec = params_to_vector(params)
     built = {"init_params": params, "load_checkpoint": load_checkpoint(tmp_path / "head.ahp"),
-             "vector_to_params": vector_to_params(vec, dims),
-             "copy_params": copy_params(params)}
+             "vector_to_params": vector_to_params(vec, dims)}
     for how, got in built.items():
         assert_one_flat_buffer(got)
         assert np.array_equal(params_to_vector(got), vec), how

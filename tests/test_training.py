@@ -11,7 +11,6 @@ from emis.data import SynthSpec, generate_synthetic
 from emis.errors import (
     ConfigError,
     EmptySplit,
-    LengthMismatch,
     NonFiniteGradient,
     ShapeMismatch,
 )
@@ -40,14 +39,13 @@ from emis.training import (
     bbc_loss_from_scores,
     lr_at_epoch,
     read_epoch_logs,
-    select_checkpoint,
     train,
     write_epoch_logs,
 )
 
 import scalar_oracle
 from adamw_oracle import OracleAdamW
-from conftest import assert_one_flat_buffer, refuse_matrix64, unit_rows
+from conftest import assert_one_flat_buffer, refuse_matrix64, traced_peak, unit_rows
 
 GAMMA_MIN = 1e-3
 
@@ -294,26 +292,6 @@ def test_lr_schedule_halves_every_ten_epochs():
         lr_at_epoch(-1, config)
 
 
-# -- checkpoint selection -------------------------------------------------------------
-
-def test_select_checkpoint_cross_validates():
-    val = [1.0, 3.0, 2.0]
-    test = [5.0, 4.0, 9.0]
-    # test is reported at val's best epoch (1), val at test's best (2)
-    assert select_checkpoint(val, test) == (1, 2)
-
-
-def test_select_checkpoint_ties_take_earlier_epoch():
-    assert select_checkpoint([2.0, 2.0, 1.0], [0.0, 7.0, 7.0]) == (0, 1)
-
-
-def test_select_checkpoint_rejects_bad_series():
-    with pytest.raises(LengthMismatch):
-        select_checkpoint([1.0], [1.0, 2.0])
-    with pytest.raises(LengthMismatch):
-        select_checkpoint([], [])
-
-
 # -- config and logs -----------------------------------------------------------------
 
 def test_train_config_validation():
@@ -367,12 +345,9 @@ def test_train_tracks_best_checkpoint_on_monitored_split():
     corpus, triplets = tiny_synth(seed=1, n_val=4)
     config = TrainConfig(epochs=3, batch_size=16, seed=0)
     result = train(triplets, corpus, config, monitor=("val",))
-    assert "val" in result.best
-    epoch, best_params = result.best["val"]
-    series = result.metric_series("val", "r_at_10")
-    assert series[epoch] == max(series)
-    assert epoch == series.index(max(series))  # earlier epoch wins ties
-    assert best_params.dims == result.params.dims
+    series = [log.metrics["val"]["r_at_10"] for log in result.logs]
+    # The earlier epoch wins ties.
+    assert result.best == {"val": series.index(max(series))}
 
 
 def test_train_normalizes_target_rows_only_in_prepare_gallery(monkeypatch):
@@ -394,11 +369,29 @@ def test_train_split_names_are_checked():
     assert train(triplets, corpus, config, monitor=("val",)).best == {}
 
 
-def test_train_unknown_selection_metric_errors():
-    corpus, triplets = tiny_synth(seed=2, n_val=4)
-    with pytest.raises(ConfigError):
-        train(triplets, corpus, TrainConfig(epochs=1, batch_size=16),
-              monitor=("val",), selection_metric="nope")
+def test_train_unknown_selection_metric_errors(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "bbc_loss", no_step)
+    for n_val, subsets, metric in ((4, True, "nope"),
+                                   (0, True, "nope"),          # no split monitored
+                                   (4, False, "combined"),     # subset-only names
+                                   (4, False, "r_subset_at_1")):
+        corpus, triplets = tiny_synth(seed=2, n_val=n_val)
+        if not subsets:
+            triplets.subsets.clear()
+        with pytest.raises(ConfigError, match=f"'{metric}' not in evaluation output .*'r_at_10'"):
+            train(triplets, corpus, TrainConfig(epochs=1, batch_size=16),
+                  monitor=("val",), selection_metric=metric)
+
+
+@pytest.mark.parametrize("n_val", [4, 0])
+def test_train_accepts_subset_metrics_where_subsets_exist(n_val):
+    corpus, triplets = tiny_synth(seed=2, n_val=n_val)
+    result = train(triplets, corpus, TrainConfig(epochs=1, batch_size=16),
+                   monitor=("val",), selection_metric="combined")
+    assert result.best == ({"val": 0} if n_val else {})
 
 
 def test_train_no_full_batch_raises_unless_partial_kept():
@@ -432,6 +425,25 @@ def test_train_steps_free_their_graphs_without_the_collector(monkeypatch):
         gc.enable()
     assert len(live) == 21
     assert live[-1] - live[1] < 64 * 1024
+
+
+def test_train_and_its_monitor_eval_hold_no_gallery_sized_array():
+    # A one-block monitor eval scores the raw float32 gallery. Training
+    # state here peaks at about 5 MiB and the monitor adds about 4.5 MiB,
+    # so a float64 copy of the gallery (G x D x 8 bytes, 15.6 MiB) in
+    # either one breaks its bound.
+    n_gallery, dim = 16000, 128
+    spec = SynthSpec(n_train=64, n_eval=1, n_val=16, gallery_size=n_gallery,
+                     dim_i=dim, dim_t=dim, seed=0)
+    corpus, triplets, _ = generate_synthetic(spec)
+    config = TrainConfig(epochs=1, batch_size=32, seed=0)
+    half_gallery64 = n_gallery * dim * 8 / 2
+    _, bare = traced_peak(lambda: train(triplets, corpus, config, monitor=()))
+    result, monitored = traced_peak(lambda: train(triplets, corpus, config,
+                                                  monitor=("val",)))
+    assert result.best == {"val": 0}
+    assert bare < half_gallery64
+    assert monitored - bare < half_gallery64
 
 
 def test_train_rejects_non_corpus():
