@@ -32,9 +32,6 @@ from .training import train, write_epoch_logs
 _CONFIG_KEY_DOC = """\
 config file: one `key = value` per line; `#` starts a comment; flags win.
 keys (defaults in parentheses):
-  refs, mods, targets        feature bank paths (required by train/eval/ablate)
-  triplets, subsets          triplet JSONL path; optional subsets JSONL
-  checkpoint                 head checkpoint path (output of train, input of eval)
   batch_size (32)            minibatch size, >= 2
   epochs (50)                training epochs
   lr0 (5e-4)                 initial learning rate
@@ -42,16 +39,20 @@ keys (defaults in parentheses):
   decay_every (10)           epochs between learning-rate decays
   weight_decay (0.01)        decoupled AdamW decay (temperature excluded)
   seed (0)                   RNG seed for init and shuffling
-  keep_partial_batch (false) train on the trailing short minibatch too
   flavor (artemis)           image_only | text_only | late_fusion |
                              is_only | em_only | artemis
+  keep_partial_batch (false) train on the trailing short minibatch too
+  refs, mods, targets        feature bank paths (required by train/eval/ablate)
+  triplets, subsets          triplet JSONL path; optional subsets JSONL
+  checkpoint                 head checkpoint path (output of train, input of eval)
   convention                 fashioniq | shoes | cirr metric aggregation
   exclude_ref (false)        drop the reference image from each ranking
   workers (1)                threads for read-only evaluation scoring
   block_size (256)           queries per scoring block
   split (test)               evaluation split
   monitor (val)              comma-separated splits evaluated during training
-  selection_metric (r_at_10) metric whose best epoch train reports per split
+  selection_metric (r_at_10) metric whose best epoch train reports per split:
+                             the lowest median_rank, the highest of any other
   h_hidden (0)               attention hidden width; 0 = target bank width
 """
 
@@ -179,16 +180,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     require_output_path("checkpoint", config.checkpoint)
     require_output_path("logs", args.logs)
     corpus, triplets = load_dataset(config)
-    monitor = tuple(s.strip() for s in config.monitor.split(",") if s.strip())
-    result = train(triplets, corpus, config.train_config(),
-                   dims=resolve_dims(config, corpus), monitor=monitor,
+    result = train(triplets, corpus, config,
+                   dims=resolve_dims(config, corpus), monitor=config.monitored_splits(),
                    selection_metric=config.selection_metric,
                    exclude_ref=config.exclude_ref)
     save_checkpoint(result.params, config.checkpoint)
     if args.logs:
         write_epoch_logs(result.logs, args.logs)
     last = result.logs[-1]
-    print(f"trained {config.flavor} for {len(result.logs)} epochs; "
+    print(f"trained {config.flavor.value} for {len(result.logs)} epochs; "
           f"final mean loss {last.loss:.6f}")
     for split, epoch in sorted(result.best.items()):
         print(f"best {config.selection_metric} on {split}: epoch {epoch}")
@@ -247,7 +247,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"h_hidden {config.h_hidden} contradicts the checkpoint's "
                           f"h_hidden {params.dims.h_hidden}")
     queries = queries_from_triplets(triplets, config.split, config.exclude_ref)
-    report = evaluate(queries, corpus, params, config.parsed_flavor(),
+    report = evaluate(queries, corpus, params, config.flavor,
                       block_size=config.block_size, workers=config.workers,
                       dump_path=args.dump, dump_top_k=args.top_k)
     print(report.to_text())

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -428,6 +428,8 @@ CONVENTION_CELLS = {"fashioniq": ("r_at_10", "r_at_50"),
                     "shoes": ("r_at_1", "r_at_10", "r_at_50"),
                     "cirr": ("r_at_5", "r_subset_at_1")}
 CONVENTIONS = tuple(CONVENTION_CELLS)
+AGGREGATE_LABELS = {"fashioniq": "fashioniq challenge metric",
+                    "shoes": "shoes average", "cirr": "cirr combined"}
 FASHIONIQ_CATEGORIES = ("dress", "shirt", "toptee")
 
 
@@ -450,27 +452,16 @@ def aggregate_suite(table: Mapping, convention: str) -> MetricReport:
                 value = float(table[category][key])
                 cells.append(value)
                 flat[f"{category}.{key}"] = value
-        return MetricReport(label="fashioniq challenge metric", metrics=flat,
+        return MetricReport(label=AGGREGATE_LABELS["fashioniq"], metrics=flat,
                             aggregate=float(np.mean(cells)), convention="fashioniq")
-    if convention == "shoes":
-        needed = CONVENTION_CELLS["shoes"]
-        _require_cells(table, needed, "shoes")
-        values = {k: float(table[k]) for k in needed}
-        return MetricReport(label="shoes average", metrics=values,
-                            aggregate=float(np.mean(list(values.values()))),
-                            convention="shoes")
-    if convention == "cirr":
-        needed = CONVENTION_CELLS["cirr"]
-        _require_cells(table, needed, "cirr")
-        values = {k: float(table[k]) for k in needed}
-        return MetricReport(label="cirr combined", metrics=values,
-                            aggregate=float(np.mean(list(values.values()))),
-                            convention="cirr")
-    raise ConfigError(f"unknown convention {convention!r}; "
-                      f"expected one of {', '.join(CONVENTIONS)}")
-
-
-def _require_cells(table: Mapping, keys: Iterable[str], convention: str) -> None:
-    for key in keys:
+    if convention not in CONVENTION_CELLS:
+        raise ConfigError(f"unknown convention {convention!r}; "
+                          f"expected one of {', '.join(CONVENTIONS)}")
+    values = {}
+    for key in CONVENTION_CELLS[convention]:
         if key not in table:
             raise MissingCell(f"{convention} aggregate needs cell {key!r}")
+        values[key] = float(table[key])
+    return MetricReport(label=AGGREGATE_LABELS[convention], metrics=values,
+                        aggregate=float(np.mean(list(values.values()))),
+                        convention=convention)

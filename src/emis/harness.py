@@ -20,7 +20,7 @@ import numpy as np
 
 from . import training
 from .autodiff import Tape
-from .data import (Corpus, SynthSpec, TripletSet, generate_synthetic,
+from .data import (SPLITS, Corpus, SynthSpec, TripletSet, generate_synthetic,
                    load_triplets, write_feature_bank, write_triplets)
 from .errors import ConfigError
 from .evaluation import (CONVENTIONS, DEFAULT_BLOCK_SIZE, MetricReport, evaluate,
@@ -33,8 +33,13 @@ from .training import TrainConfig, bbc_loss_from_scores, train
 
 
 @dataclass
-class RunConfig:
-    """One experiment's knobs; every field doubles as a config-file key."""
+class RunConfig(TrainConfig):
+    """One experiment's knobs; every field doubles as a config-file key.
+
+    The training settings are TrainConfig's own fields, checked there.
+    Every setting is checked when the config is built, before any input
+    is read.
+    """
 
     refs: str | None = None
     mods: str | None = None
@@ -43,16 +48,6 @@ class RunConfig:
     subsets: str | None = None
     checkpoint: str | None = None
 
-    batch_size: int = 32
-    epochs: int = 50
-    lr0: float = 5e-4
-    lr_decay: float = 0.5
-    decay_every: int = 10
-    weight_decay: float = 0.01
-    seed: int = 0
-    keep_partial_batch: bool = False
-
-    flavor: str = "artemis"
     convention: str | None = None
     exclude_ref: bool = False
     workers: int = 1
@@ -63,26 +58,20 @@ class RunConfig:
     h_hidden: int = 0  # 0 means "match the target bank width"
 
     def __post_init__(self) -> None:
-        for key, smallest in (("block_size", 1), ("workers", 1), ("h_hidden", 0), ("seed", 0)):
+        super().__post_init__()
+        for key, smallest in (("block_size", 1), ("workers", 1), ("h_hidden", 0)):
             if getattr(self, key) < smallest:
                 raise ConfigError(f"{key} must be >= {smallest}, got {getattr(self, key)!r}")
         if self.convention not in (None, *CONVENTIONS):
             raise ConfigError(f"unknown convention {self.convention!r}; "
                               f"expected one of {', '.join(CONVENTIONS)}")
+        for name in (self.split, *self.monitored_splits()):
+            if name not in SPLITS:
+                raise ConfigError(f"unknown split {name!r}; expected one of {SPLITS}")
 
-    def parsed_flavor(self) -> Flavor:
-        return Flavor.parse(self.flavor)
-
-    def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(
-                batch_size=self.batch_size, epochs=self.epochs, lr0=self.lr0,
-                lr_decay=self.lr_decay, decay_every=self.decay_every,
-                weight_decay=self.weight_decay, seed=self.seed,
-                flavor=self.parsed_flavor(),
-                keep_partial_batch=self.keep_partial_batch)
-        except Exception as exc:
-            raise ConfigError(str(exc)) from None
+    def monitored_splits(self) -> tuple[str, ...]:
+        """The comma-separated ``monitor`` names, blanks dropped."""
+        return tuple(s.strip() for s in self.monitor.split(",") if s.strip())
 
 
 # Declared type of every RunConfig field, in field order: the one place
@@ -235,13 +224,12 @@ def run_ablation(config: RunConfig, corpus: Corpus | None = None,
         corpus, triplets = load_dataset(config)
     queries = queries_from_triplets(triplets, config.split, config.exclude_ref)
     dims = resolve_dims(config, corpus)
-    base = config.train_config()
     reports: list[MetricReport] = []
     for flavor in Flavor:
         if flavor not in ATTENTION_FLAVORS:
-            params = init_params(dims, base.seed)
+            params = init_params(dims, config.seed)
         else:
-            params = train(triplets, corpus, replace(base, flavor=flavor),
+            params = train(triplets, corpus, replace(config, flavor=flavor),
                            dims=dims, monitor=()).params
         report = evaluate(queries, corpus, params, flavor,
                           block_size=config.block_size, workers=config.workers)

@@ -48,8 +48,11 @@ class TrainConfig:
     keep_partial_batch: bool = False
 
     def __post_init__(self) -> None:
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2: the loss needs in-batch negatives")
+        # The loss needs in-batch negatives, so a batch holds at least two.
+        for key, smallest in (("batch_size", 2), ("epochs", 1), ("decay_every", 1),
+                              ("seed", 0)):
+            if getattr(self, key) < smallest:
+                raise ConfigError(f"{key} must be >= {smallest}, got {getattr(self, key)!r}")
         # Written so that NaN fails every range.
         for key, ok, want in (
                 ("lr0", 0 < self.lr0 < math.inf, "a positive finite number"),
@@ -58,10 +61,6 @@ class TrainConfig:
                  "a non-negative finite number")):
             if not ok:
                 raise ConfigError(f"{key} must be {want}, got {getattr(self, key)!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.decay_every < 1:
-            raise ConfigError("decay_every must be >= 1")
         if isinstance(self.flavor, str):
             self.flavor = Flavor.parse(self.flavor)
 
@@ -220,7 +219,8 @@ def train(triplets, corpus, config: TrainConfig,
     ``triplets`` is a TripletSet and ``corpus`` a Corpus of banks (see
     data module). Splits listed in ``monitor`` that actually exist are
     evaluated after every epoch; ``best`` holds the epoch at which each
-    scored highest on ``selection_metric`` (the earlier epoch on ties).
+    scored best on ``selection_metric``: the lowest ``median_rank``, the
+    highest of any other metric, and the earlier epoch on ties.
     """
     # Imported per call, not for a cycle (none exists): perfbench wraps evaluation.evaluate.
     from .data import Corpus
@@ -305,10 +305,11 @@ def train(triplets, corpus, config: TrainConfig,
         logs.append(EpochLog(epoch=epoch, loss=float(np.mean(losses)), lr=lr,
                              metrics=metrics,
                              seconds=time.perf_counter() - started))
+    pick = min if selection_metric == "median_rank" else max
     best = {}
     for split in monitored:
         series = [log.metrics[split][selection_metric] for log in logs]
-        best[split] = series.index(max(series))   # the earlier epoch on ties
+        best[split] = series.index(pick(series))   # the earlier epoch on ties
     return TrainResult(params=params, logs=logs, best=best)
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from emis import cli, evaluation, harness, training
 from emis.cli import build_parser, main
-from emis.data import (FeatureBank, TripletRecord, TripletSet, ids_sidecar,
+from emis.data import (FeatureBank, SynthSpec, TripletRecord, TripletSet, ids_sidecar,
                        read_feature_bank, write_feature_bank, write_triplets)
 from emis.harness import RUN_KEY_TYPES, RunConfig, make_run_config
 from emis.head import SCORE_TILE, Flavor, HeadDims, init_params, save_checkpoint
@@ -164,6 +164,25 @@ def test_monitor_eval_error_names_the_epoch_and_split(dataset, tmp_path, capsys)
     assert err == ("error: epoch 0, monitor val: query 0 (r00048, m00048): "
                    "attention-weighted reference has norm nan\n")
     assert "Traceback" not in err
+
+
+def test_train_command_holds_no_gallery_sized_float64_array(tmp_path, capsys):
+    """The whole command, from loading the banks to saving the checkpoint,
+    peaks at about 19 MiB against a bound of the float32 bank files plus one
+    float64 gallery (G x D x 8 bytes, 23.5 MiB in all), so a gallery-sized
+    float64 array kept anywhere in the call breaks it."""
+    n_gallery, dim = 16000, 128
+    spec = SynthSpec(n_train=64, n_eval=1, n_val=16, gallery_size=n_gallery,
+                     dim_i=dim, dim_t=dim, seed=0)
+    paths = harness.write_synthetic(spec, tmp_path / "ds")
+    bank_bytes = sum(Path(paths[name]).stat().st_size for name in ("refs", "mods", "targets"))
+    argv = ["train", "--epochs", "1", "--batch-size", "32", "--monitor", "val",
+            "--checkpoint", str(tmp_path / "h.ahp")]
+    for name in ("refs", "mods", "targets", "triplets", "subsets"):
+        argv += [f"--{name}", paths[name]]
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0, capsys.readouterr().err
+    assert peak < bank_bytes + n_gallery * dim * 8
 
 
 def test_eval_dump_lines(dataset, tmp_path, capsys):
@@ -469,6 +488,43 @@ def test_bad_run_settings_are_config_errors(dataset, tmp_path, capsys, flag, val
     assert code == 2
     assert f"{flag[2:].replace('-', '_')} must be >= " in err
     assert "Traceback" not in err and out == ""
+
+
+# (key, bad value, how the error names it): every training range, seed,
+# split names, and the run settings that do not depend on the data.
+BAD_RUN_SETTINGS = [
+    ("flavor", "bogus", "unknown flavor 'bogus'"),
+    ("batch_size", "1", "batch_size must be >= 2, got 1"),
+    ("lr0", "-1", "lr0 must be a positive finite number, got -1.0"),
+    ("lr0", "nan", "lr0 must be a positive finite number, got nan"),
+    ("lr_decay", "-1", "lr_decay must be a positive finite number, got -1.0"),
+    ("lr_decay", "nan", "lr_decay must be a positive finite number, got nan"),
+    ("weight_decay", "-1", "weight_decay must be a non-negative finite number, got -1.0"),
+    ("weight_decay", "nan", "weight_decay must be a non-negative finite number, got nan"),
+    ("epochs", "0", "epochs must be >= 1, got 0"),
+    ("decay_every", "0", "decay_every must be >= 1, got 0"),
+    ("seed", "-1", "seed must be >= 0, got -1"),
+    ("split", "bogus", "unknown split 'bogus'"),
+    ("monitor", "val,bogus", "unknown split 'bogus'"),
+    ("block_size", "0", "block_size must be >= 1, got 0"),
+    ("h_hidden", "-1", "h_hidden must be >= 0, got -1"),
+    ("convention", "bogus", "unknown convention 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+@pytest.mark.parametrize("key, value, named", BAD_RUN_SETTINGS,
+                         ids=[f"{key}={value}" for key, value, _ in BAD_RUN_SETTINGS])
+def test_bad_run_setting_is_refused_before_any_input_is_read(tmp_path, capsys, command,
+                                                             key, value, named):
+    missing = tmp_path / "missing"
+    argv = [command]
+    for name in ("refs", "mods", "targets", "triplets", "subsets", "checkpoint"):
+        argv += [f"--{name}", str(missing / name)]
+    code, out, err = run_cli(capsys, *argv, "--" + key.replace("_", "-"), value)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and named in err
+    assert str(tmp_path) not in err
 
 
 def test_workers_above_the_usable_cpus_is_a_config_error(dataset, tmp_path, capsys,

@@ -61,7 +61,7 @@ def test_make_run_config_overrides_win():
     config = make_run_config({"epochs": "5", "seed": "3"}, {"epochs": 9})
     assert config.epochs == 9
     assert config.seed == 3
-    assert config.flavor == "artemis"
+    assert config.flavor is Flavor.ARTEMIS
 
 
 def test_make_run_config_skips_none_and_rejects_unknown():
@@ -90,13 +90,13 @@ def test_require_settings(tmp_path):
     require_settings(config, "checkpoint")         # output path: presence only
 
 
-def test_run_config_train_config_and_flavor():
+def test_run_config_is_a_checked_train_config():
     config = RunConfig(flavor="is_only", epochs=2)
-    assert config.parsed_flavor() is Flavor.IS_ONLY
-    tc = config.train_config()
-    assert tc.flavor is Flavor.IS_ONLY and tc.epochs == 2
-    with pytest.raises(ConfigError):
-        RunConfig(flavor="bogus").parsed_flavor()
+    assert isinstance(config, training.TrainConfig)
+    assert config.flavor is Flavor.IS_ONLY and config.epochs == 2
+    for bad in ({"flavor": "bogus"}, {"epochs": 0}, {"seed": -1}):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
 
 
 # -- dataset plumbing -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from emis.head import (
     vector_to_params,
 )
 from emis.numerics import finite_diff_check
-from emis import training
+from emis import evaluation, training
 from emis.training import (
     BETA1,
     BETA2,
@@ -306,7 +307,8 @@ def test_train_config_validation():
     nan, inf = math.nan, math.inf
     for key, bad in (("lr0", nan), ("lr0", inf), ("lr0", -1e-3),
                      ("lr_decay", 0.0), ("lr_decay", -1.0), ("lr_decay", nan),
-                     ("weight_decay", -0.01), ("weight_decay", nan), ("weight_decay", inf)):
+                     ("weight_decay", -0.01), ("weight_decay", nan), ("weight_decay", inf),
+                     ("decay_every", 0), ("seed", -1)):
         with pytest.raises(ConfigError, match=key):
             TrainConfig(**{key: bad})
     TrainConfig(weight_decay=0.0, lr_decay=2.0)
@@ -348,6 +350,21 @@ def test_train_tracks_best_checkpoint_on_monitored_split():
     series = [log.metrics["val"]["r_at_10"] for log in result.logs]
     # The earlier epoch wins ties.
     assert result.best == {"val": series.index(max(series))}
+
+
+@pytest.mark.parametrize("metric, want", [("median_rank", 1), ("r_at_10", 2)])
+def test_best_epoch_is_the_earliest_lowest_median_rank_or_highest_recall(monkeypatch,
+                                                                        metric, want):
+    series = {"median_rank": iter([9.0, 3.0, 4.0, 3.0]), "r_at_10": iter([1.0, 2.0, 5.0, 5.0])}
+
+    def scripted_evaluate(*args, **kwargs):
+        return SimpleNamespace(metrics={name: next(it) for name, it in series.items()})
+
+    monkeypatch.setattr(evaluation, "evaluate", scripted_evaluate)
+    corpus, triplets = tiny_synth(seed=1, n_val=4)
+    result = train(triplets, corpus, TrainConfig(epochs=4, batch_size=16, seed=0),
+                   monitor=("val",), selection_metric=metric)
+    assert result.best == {"val": want}
 
 
 def test_train_normalizes_target_rows_only_in_prepare_gallery(monkeypatch):
