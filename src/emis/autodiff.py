@@ -2,7 +2,8 @@
 
 Covers exactly what the scoring head and its loss need: broadcast
 arithmetic, matmul, relu, squares and square roots, reductions, row
-softmax, row logsumexp and diagonal extraction. Parameters enter as one
+softmax, row logsumexp, diagonal extraction, and ``node`` for a kernel
+with hand-written VJPs (the head's scoring). Parameters enter as one
 leaf per block (``head.lift_params``). Values are eager float64 numpy
 arrays; each operation appends its output node to a ``Tape``, so
 creation order is already a topological order and the backward pass is
@@ -155,16 +156,12 @@ class Var:
         return Var(a / c, self._tape, (self,), (lambda g: _unbroadcast(g / c, a.shape),))
 
     def __matmul__(self, other):
-        if isinstance(other, Var):
-            tape = _tape_of(self, other)
-            a, b = self.value, other.value
-            _check_matmul(a, b)
-            return Var(a @ b, tape, (self, other),
-                       (lambda g: g @ b.T, lambda g: a.T @ g))
-        c = np.asarray(other, dtype=np.float64)
-        a = self.value
-        _check_matmul(a, c)
-        return Var(a @ c, self._tape, (self,), (lambda g: g @ c.T,))
+        if not isinstance(other, Var):
+            return NotImplemented
+        tape = _tape_of(self, other)
+        a, b = self.value, other.value
+        _check_matmul(a, b)
+        return Var(a @ b, tape, (self, other), (lambda g: g @ b.T, lambda g: a.T @ g))
 
     def __rmatmul__(self, other):
         c = np.asarray(other, dtype=np.float64)
@@ -228,6 +225,11 @@ class Var:
 
     def __repr__(self) -> str:
         return f"Var(shape={self.value.shape})"
+
+
+def node(value, parents, vjps) -> Var:
+    """One node over ``parents`` (one tape) whose VJPs, one per parent, are given."""
+    return Var(value, _tape_of(*parents), tuple(parents), tuple(vjps))
 
 
 def _check_matmul(a: Array, b: Array) -> None:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .data import SynthSpec, read_feature_bank
 from .errors import CheckFailure, ConfigError, DataError, EmisError
-from .evaluation import (CONVENTION_CELLS, aggregate_suite, evaluate,
-                         queries_from_triplets)
+from .evaluation import (CONVENTION_CELLS, FASHIONIQ_CATEGORIES, aggregate_suite,
+                         evaluate, queries_from_triplets)
 from .harness import (RUN_KEY_TYPES, BenchConfig, RunConfig, ablation_table,
                       bench_latency, gradient_check_suite, load_dataset,
                       make_run_config, read_config_file, require_input_file,
@@ -199,11 +199,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _aggregate_cells(config: RunConfig, cell_args: list[str]) -> int:
     if config.convention is None:
         raise ConfigError("--cells needs --convention")
+    fashioniq = config.convention == "fashioniq"
+    if not fashioniq and len(cell_args) != 1:
+        raise ConfigError(f"{config.convention} aggregates one report, got {len(cell_args)} cells")
     cells: dict[str, dict[str, float]] = {}
     for item in cell_args:
         if "=" not in item:
             raise ConfigError(f"--cells entries look like name=metrics.json, got {item!r}")
         name, path = item.split("=", 1)
+        name = name.strip()
+        if fashioniq and (name in cells or name not in FASHIONIQ_CATEGORIES):
+            raise ConfigError(f"fashioniq --cells name each of {', '.join(FASHIONIQ_CATEGORIES)} "
+                              f"once, got {name!r}" + (" twice" if name in cells else ""))
         require_input_file(f"cell {name}", path)
         try:
             # Integers are read as floats, so a huge one is inf, not an overflow.
@@ -218,15 +225,9 @@ def _aggregate_cells(config: RunConfig, cell_args: list[str]) -> int:
             if key in metrics and not (isinstance(value, float) and math.isfinite(value)):
                 raise DataError(f"cell file {path!r}: {key!r} is {value!r}, "
                                 "not a finite number")
-        cells[name.strip()] = metrics
-    if config.convention == "fashioniq":
-        report = aggregate_suite(cells, "fashioniq")
-    else:
-        if len(cells) != 1:
-            raise ConfigError(f"{config.convention} aggregates one report, "
-                              f"got {len(cells)} cells")
-        report = aggregate_suite(next(iter(cells.values())), config.convention)
-    print(report.to_text())
+        cells[name] = metrics
+    table = cells if fashioniq else next(iter(cells.values()))
+    print(aggregate_suite(table, config.convention).to_text())
     return 0
 
 

@@ -7,19 +7,15 @@ and candidate under that reweighting; the explicit-matching score
 compares a linear projection of the modifier against the reweighted
 candidate. The full model adds the two.
 
-``pairwise_scores`` is the single source of truth for the formulas: it
-accepts either plain float64 arrays (fast evaluation path) or tape
-``Var`` parameters (training path), so the trained and the evaluated
-function are literally the same code. It composes three phases (query
-encoding, gallery preparation, scoring) that the latency benchmark
-times individually. Both attention scores have one form, the attended
-cosine cos(u, a * t), so a query is a list of channels that scoring
-sums without asking which flavor built them. Plain-array attention
-states are scored ``SCORE_TILE`` gallery rows at a time through three
-tile buffers (squares, pair norms, dot products), plus a fourth for the
-tile's unit rows when the gallery is held as raw rows and norms, so a
-block's peak memory is its (Q, G) result plus those; the pair-norm guard
-runs per tile.
+``pairwise_scores`` composes the three phases that the latency benchmark
+times one by one: query encoding, gallery preparation and scoring. Its
+parameters are plain float64 arrays (evaluation) or tape ``Var``s
+(training). Both attention scores have one form, the attended cosine
+cos(u, a * t), so a query is a list of channels that scoring sums without
+asking which flavor built them. ``scores_from_state`` holds the one kernel
+for gated channels: ``SCORE_TILE`` gallery rows at a time, with the
+pair-norm guard per tile. A tape state enters it as one node with
+hand-written VJPs, so training, eval and the benchmark score the same bits.
 
 Plain-array parameter blocks are views into one float64 vector.
 """
@@ -302,33 +298,27 @@ def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor,
     return GalleryState(tn=normalize_rows(t_rows))
 
 
-def _channel_scores(channels, tn):
-    """Sum over channels of every query's score against the rows ``tn``."""
-    def score(x, sq):   # a function, so each channel's temporaries die with it
-        if sq is None:
-            return x @ tn.T
-        pair_norm = ad.sqrt(sq @ (tn * tn).T)   # (Q,G)  ||a*t|| on unit t rows
-        guard_norms(pair_norm, "attention-weighted candidate")
-        return (x @ tn.T) / pair_norm
-
-    total = score(*channels[0])
-    for x, sq in channels[1:]:
-        total = total + score(x, sq)
-    return total
+def _norms_and_dots(x, sq, t, t_sq, n=None, d=None):
+    """One channel against rows ``t``: guarded pair norms sqrt(sq . t^2), then dots x . t."""
+    n = np.matmul(sq, t_sq.T, out=n)
+    guard_norms(np.sqrt(n, out=n), "attention-weighted candidate")
+    return n, np.matmul(x, t.T, out=d)
 
 
 def scores_from_state(queries: QueryState, gallery: GalleryState):
     """Scoring phase: the channel sum of ``queries`` against the gallery.
 
-    Plain-array gated states are scored ``SCORE_TILE`` gallery rows at a
-    time, in tile buffers made once per call, to ``_channel_scores``'s bits
-    on each tile; a gallery of raw rows and norms gets a fourth buffer for
-    each tile's unit rows. Tape states and the ungated gemm are scored whole.
+    Gated channels go ``SCORE_TILE`` gallery rows at a time through tile
+    buffers made once per call (squares, pair norms, dots; unit rows too for
+    a raw-row gallery). A tape state is one node: that loop on its channels'
+    values, with VJPs hand-written in the order of the channel sum of
+    (x @ t.T) / sqrt(sq @ (t * t).T). An ungated channel is one gemm.
     """
     channels, tn, norms = queries.channels, gallery.tn, gallery.norms
-    if isinstance(channels[0][0], Var) or any(sq is None for _, sq in channels):
-        return _channel_scores(channels, tn if norms is None else tn / norms[:, None])
-    q, g, w = channels[0][0].shape[0], tn.shape[0], min(tn.shape[0], SCORE_TILE)
+    if any(sq is None for _, sq in channels):
+        return channels[0][0] @ (tn if norms is None else tn / norms[:, None]).T
+    plain = [(value_of(x), value_of(sq)) for x, sq in channels]
+    q, g, w = plain[0][0].shape[0], tn.shape[0], min(tn.shape[0], SCORE_TILE)
     out, t_sq, flat = np.empty((q, g)), np.empty((w, tn.shape[1])), np.empty((2, q * w))
     unit = None if norms is None else np.empty_like(t_sq)
     for lo in range(0, g, SCORE_TILE):
@@ -337,13 +327,20 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
             t = np.divide(t, norms[lo:lo + SCORE_TILE, None], out=unit[:len(t)])
         sq_t, o = np.multiply(t, t, out=t_sq[:len(t)]), out[:, lo:lo + len(t)]
         n, d = flat[:, :q * len(t)].reshape(2, q, len(t))   # contiguous, ragged or not
-        for k, (x, sq) in enumerate(channels):
-            np.sqrt(np.matmul(sq, sq_t.T, out=n), out=n)     # ||a*t|| per pair
-            guard_norms(n, "attention-weighted candidate")
-            np.divide(np.matmul(x, t.T, out=d), n, out=d if k else o)
-            if k:   # total + score, as in _channel_scores
+        for k, (x, sq) in enumerate(plain):
+            _norms_and_dots(x, sq, t, sq_t, n, d)
+            np.divide(d, n, out=d if k else o)
+            if k:
                 np.add(o, d, out=o)
-    return out
+    if not isinstance(channels[0][0], Var):
+        return out
+    t = tn if norms is None else tn / norms[:, None]
+    t_sq, vjps = t * t, []
+    for x, sq in plain:
+        n, d = _norms_and_dots(x, sq, t, t_sq)
+        vjps += [lambda g, n=n: (g / n) @ t,
+                 lambda g, n=n, d=d: (-g * d / (n * n) / (2.0 * n)) @ t_sq]
+    return ad.node(out, [v for c in channels for v in c], vjps)
 
 
 def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,

@@ -173,6 +173,8 @@ def test_rmul_radd_with_ndarray():
     assert np.array_equal(left.value, right.value)
     out = np.ones((2, 3)) @ a
     assert out.value.shape == (2, 1)
+    with pytest.raises(TypeError):   # a Var's right operand must be a Var
+        _ = a @ np.ones((1, 2))
 
 
 @settings(max_examples=30, deadline=None)

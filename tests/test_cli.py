@@ -282,6 +282,17 @@ def test_cells_bad_entries(tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--convention", "cirr",
                            "--cells", f"only={bad}")
     assert code == 3
+    for name, value in zip("abcde", (10.0, 90.0, 50.0, 50.0, 70.0)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"r_at_10": value, "r_at_50": value}))
+    cells = [f"{category}={tmp_path / name}.json" for category, name in
+             (("dress", "a"), ("dress", "b"), ("shirt", "c"), ("toptee", "d"))]
+    for argv, named in ((cells, "'dress' twice"),                        # the second would win
+                        (cells[1:] + [f"pants={tmp_path / 'e.json'}"], "'pants'")):  # ignored
+        code, out, err = run_cli(capsys, "eval", "--convention", "fashioniq", "--cells", *argv)
+        assert code == 2 and out == ""
+        assert named in err and "dress, shirt, toptee" in err
+    code, out, _ = run_cli(capsys, "eval", "--convention", "fashioniq", "--cells", *cells[1:])
+    assert code == 0 and out.rstrip().endswith("63.33")
 
 
 SHOES_CELL = {"r_at_1": 10.0, "r_at_10": 20.0, "r_at_50": 30.0}

@@ -13,7 +13,6 @@ from emis.head import (
     SCORE_TILE,
     Flavor,
     HeadDims,
-    _channel_scores,
     block_shapes,
     encode_queries,
     gradients_of,
@@ -29,7 +28,7 @@ from emis.head import (
     scores_from_state,
     vector_to_params,
 )
-from emis.numerics import NORM_ROWS
+from emis.numerics import NORM_ROWS, finite_diff_check
 
 from conftest import (assert_one_flat_buffer, corruptions, one_hot_attention_params,
                       oracle_from_params, traced_peak, unit_rows)
@@ -263,12 +262,13 @@ def test_pairwise_accepts_tape_vars():
 
 @pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
 def test_tiled_scores_match_oracle_and_tape_in_every_tile(flavor):
-    """A gallery of two full tiles and a ragged one scores as one whole block."""
+    """A gallery of two full tiles and a ragged one scores as one whole block,
+    and a tape state scores every pair to the plain path's bits."""
     dims = HeadDims(8, 8, 8)
     params = init_params(dims, seed=11)
-    r_rows, m_rows, t_rows = _toy_batch(dims, 3, 2 * SCORE_TILE + 5, seed=11)
+    r_rows, m_rows, t_rows = _toy_batch(dims, 64, 2 * SCORE_TILE + 5, seed=11)
     got = pairwise_scores(r_rows, m_rows, t_rows, params, flavor)
-    assert got.shape == (3, 2 * SCORE_TILE + 5)
+    assert got.shape == (64, 2 * SCORE_TILE + 5)
     oracle = oracle_from_params(params)
     cols = [0, 1, SCORE_TILE - 1, SCORE_TILE, SCORE_TILE + 777,
             2 * SCORE_TILE - 1, 2 * SCORE_TILE, 2 * SCORE_TILE + 4]
@@ -280,6 +280,27 @@ def test_tiled_scores_match_oracle_and_tape_in_every_tile(flavor):
     tape = Tape()
     var = pairwise_scores(r_rows, m_rows, t_rows, lift_params(params, tape), flavor)
     assert np.array_equal(var.value, got)
+
+
+@pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
+def test_tape_gradients_match_finite_differences_over_several_tiles(flavor):
+    """The scoring node's hand-written VJPs, on a gallery of two full tiles
+    and a ragged one, against central differences of the plain path."""
+    dims = HeadDims(6, 6, 5)
+    r_rows, m_rows, t_rows = _toy_batch(dims, 2, 2 * SCORE_TILE + 5, seed=13)
+    weights = np.random.default_rng(13).standard_normal((2, 2 * SCORE_TILE + 5))
+    v0 = params_to_vector(init_params(dims, seed=13))
+    tape = Tape()
+    lifted = lift_params(vector_to_params(v0, dims), tape)
+    tape.backward((pairwise_scores(r_rows, m_rows, t_rows, lifted, flavor) * weights).sum())
+
+    def f(vec):
+        scores = pairwise_scores(r_rows, m_rows, t_rows, vector_to_params(vec, dims), flavor)
+        return (scores * weights).sum()
+
+    report = finite_diff_check(f, v0, params_to_vector(gradients_of(lifted, tape)),
+                               h=1e-4, tol=1e-5)
+    assert report.passed, str(report)
 
 
 @pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
@@ -326,12 +347,21 @@ def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
         assert peak <= q * g * 8 + tiles + 2 * 8 * np.getbufsize() + 16 * 1024
 
 
+def whole_gallery_scores(channels, tn):
+    """The channel sum against all rows ``tn`` at once: the composite formula
+    the tile loop splits up, written independently of it."""
+    total = 0.0
+    for x, sq in channels:
+        total = total + (x @ tn.T) / np.sqrt(sq @ (tn * tn).T)
+    return total
+
+
 @pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
 @pytest.mark.parametrize("n_queries", [1, 3, 64])
 @pytest.mark.parametrize("n_rows", [1, SCORE_TILE, 2 * SCORE_TILE + 5])
 def test_tiled_scores_equal_channel_scores(flavor, n_queries, n_rows):
-    """Reused tile buffers move no bit: each tile scores as ``_channel_scores``
-    does on its rows, and one tile as it does on the whole gallery.
+    """Reused tile buffers move no bit: each tile scores as the whole-gallery
+    composite does on its rows, and one tile as it does on the whole gallery.
 
     A whole-gallery gemm may differ in the last bits from a last tile whose
     width is not a multiple of 8 (1.5 ulp seen on OpenBLAS), so a gallery of
@@ -344,10 +374,10 @@ def test_tiled_scores_equal_channel_scores(flavor, n_queries, n_rows):
     gallery = prepare_gallery(t_rows, dims, flavor)
     tn = gallery.tn
     got = scores_from_state(state, gallery)
-    tiles = [_channel_scores(state.channels, tn[lo:lo + SCORE_TILE])
+    tiles = [whole_gallery_scores(state.channels, tn[lo:lo + SCORE_TILE])
              for lo in range(0, n_rows, SCORE_TILE)]
     assert np.array_equal(got, np.concatenate(tiles, axis=1))
-    whole = _channel_scores(state.channels, tn)
+    whole = whole_gallery_scores(state.channels, tn)
     np.testing.assert_allclose(got, whole, rtol=0, atol=4 * np.finfo(np.float64).eps)
     # Raw float32 rows and their norms score as their materialized unit rows.
     raw = t_rows.astype(np.float32)
