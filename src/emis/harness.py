@@ -4,7 +4,8 @@ A RunConfig collects every knob one experiment needs. Values come from
 an optional key=value config file; command-line flags win on conflict.
 The ablation runner produces the six-flavor comparison table, the
 bench measures the scoring pipeline's three phases, and the gradient
-suite verifies training's tape gradients against central differences.
+suite checks the hand-written backward of training's tape nodes against
+central differences of the plain-array formulas.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from typing import Callable, Sequence, get_type_hints
 import numpy as np
 
 from . import training
-from .autodiff import Tape
+from .autodiff import Tape, node
 from .data import (SPLITS, Corpus, SynthSpec, TripletSet, generate_synthetic,
                    load_triplets, write_feature_bank, write_triplets)
 from .errors import ConfigError
 from .evaluation import (CONVENTIONS, DEFAULT_BLOCK_SIZE, MetricReport, evaluate,
-                         queries_from_triplets, round_half_up)
+                         metric_names, queries_from_triplets, round_half_up)
 from .head import (ATTENTION_FLAVORS, Flavor, HeadDims, HeadParams, encode_queries,
                    gradients_of, init_params, lift_params, pairwise_scores, param_count,
                    params_to_vector, prepare_gallery, scores_from_state, vector_to_params)
@@ -68,6 +69,11 @@ class RunConfig(TrainConfig):
         for name in (self.split, *self.monitored_splits()):
             if name not in SPLITS:
                 raise ConfigError(f"unknown split {name!r}; expected one of {SPLITS}")
+        # Every name a report can hold; train also checks it against its splits.
+        names = metric_names(True)
+        if self.selection_metric not in names:
+            raise ConfigError(f"selection metric {self.selection_metric!r} not in "
+                              f"evaluation output {names}")
 
     def monitored_splits(self) -> tuple[str, ...]:
         """The comma-separated ``monitor`` names, blanks dropped."""
@@ -458,7 +464,9 @@ def _run_grad_instance(kind: str, seed: int, dims: HeadDims, tol: float,
     else:
         tape = Tape()
         live = lift_params(params, tape)
-        tape.backward(pairwise_scores(r, m, t, live, flavor).sum())
+        scores = pairwise_scores(r, m, t, live, flavor)
+        tape.backward(node(scores.value.sum(), [scores],
+                           lambda g: (np.broadcast_to(g, scores.value.shape),)))
         grads = gradients_of(live, tape)
 
     def f(vec):   # the plain evaluation path

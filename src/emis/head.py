@@ -14,8 +14,13 @@ parameters are plain float64 arrays (evaluation) or tape ``Var``s
 cos(u, a * t), so a query is a list of channels that scoring sums without
 asking which flavor built them. ``scores_from_state`` holds the one kernel
 for gated channels: ``SCORE_TILE`` gallery rows at a time, with the
-pair-norm guard per tile. A tape state enters it as one node with
-hand-written VJPs, so training, eval and the benchmark score the same bits.
+pair-norm guard per tile.
+
+Each formula (an attention MLP, a channel's query u, its x and sq, the
+channel sum) is written once in plain numpy. On tape parameters it
+computes the same values and wraps them in one ``autodiff.node`` whose
+backward is written by hand in the formula's operation order, so
+training, eval and the benchmark score the same bits.
 
 Plain-array parameter blocks are views into one float64 vector.
 """
@@ -33,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var, value_of
 from .errors import BadMagic, ConfigError, NonFiniteData, ShapeMismatch, TruncatedFile
-from .numerics import guard_norms, normalize_rows, row_norms
+from .numerics import guard_norms, normalize_rows, row_norms, softmax_rows
 
 Array = np.ndarray
 
@@ -181,12 +186,26 @@ def head_mac_count(dims: HeadDims) -> int:
     return 2 * attn + dims.h_t * dims.h_i + 6 * dims.h_i
 
 
-# -- batched pairwise scores (generic over Var / ndarray) ----------------------
+# -- batched pairwise scores (plain numpy; one tape node per formula on Vars) ---
 
 def attention_rows(m_rows: Array, branch: AttentionParams):
-    """Attention vectors for a block of modifiers; rows sum to 1."""
-    hidden = ad.relu(m_rows @ branch.w1 + branch.b1)
-    return ad.softmax_rows(hidden @ branch.w2 + branch.b2)
+    """Attention vectors for a block of modifiers; rows sum to 1.
+
+    On a tape branch the whole MLP is one node over w1, b1, w2 and b2.
+    """
+    blocks = [getattr(branch, part) for part in _PARTS]
+    w1, b1, w2, b2 = map(value_of, blocks)
+    hidden = np.maximum(m_rows @ w1 + b1, 0.0)
+    a = softmax_rows(hidden @ w2 + b2)
+    if not isinstance(branch.w1, Var):
+        return a
+
+    def backward(g):
+        g_z = a * (g - (g * a).sum(axis=1, keepdims=True))
+        g_h = (g_z @ w2.T) * (hidden > 0)
+        return m_rows.T @ g_h, g_h.sum(axis=0), hidden.T @ g_z, g_z.sum(axis=0)
+
+    return ad.node(a, blocks, backward)
 
 
 @dataclass
@@ -259,19 +278,43 @@ def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryS
         raise ShapeMismatch(f"unhandled flavor {flavor}")
 
     def channel(u, a, what: str):
-        """The query side of cos(u, a * t): (u * a) / ||u|| and a^2."""
-        query_norm = ad.sqrt(ad.sum_rows(ad.square(u)))   # (Q,1)  ||u||
+        """The query side of cos(u, a * t): x = (u * a) / ||u|| and sq = a^2.
+
+        On tape inputs each is one node; sq is made after x, so the reverse
+        sweep adds a's contributions as 2a g_sq, then x's, then u's.
+        """
+        u_val, a_val = value_of(u), value_of(a)
+        query_norm = np.sqrt((u_val * u_val).sum(axis=1, keepdims=True))   # (Q,1)  ||u||
         guard_norms(query_norm, what)
-        return (u * a) / query_norm, ad.square(a)
+        x = (u_val * a_val) / query_norm
+        sq = a_val * a_val
+        if not isinstance(a, Var):
+            return x, sq
+
+        def x_backward(g):
+            g_num = g / query_norm
+            num = u_val * a_val   # not kept from the forward: eval never needs it
+            g_norm = (-g * num / (query_norm * query_norm)).sum(axis=1, keepdims=True)
+            g_u = g_num * a_val + 2.0 * u_val * (g_norm / (2.0 * query_norm))
+            return g_u, g_num * u_val
+
+        x = ad.node(x, [u, a], x_backward)
+        return x, ad.node(sq, [a], lambda g: (2.0 * a_val * g,))
 
     channels = []
     if flavor is not Flavor.EM_ONLY:   # IS: u = a_is * r
         a = attention_rows(m_rows, params.attn_is)
-        channels.append(channel(a * r_rows, a, "attention-weighted reference"))
+        u = value_of(a) * r_rows
+        if isinstance(a, Var):
+            u = ad.node(u, [a], lambda g: (g * r_rows,))
+        channels.append(channel(u, a, "attention-weighted reference"))
     if flavor is not Flavor.IS_ONLY:   # EM: u = T(m)
         a = attention_rows(m_rows, params.attn_em)
-        channels.append(channel(m_rows @ params.proj_w + params.proj_b, a,
-                                "projected modifier"))
+        u = m_rows @ value_of(params.proj_w) + value_of(params.proj_b)
+        if isinstance(params.proj_w, Var):
+            u = ad.node(u, [params.proj_w, params.proj_b],
+                        lambda g: (m_rows.T @ g, g.sum(axis=0)))
+        channels.append(channel(u, a, "projected modifier"))
     return QueryState(flavor, n, channels)
 
 
@@ -311,7 +354,7 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
     Gated channels go ``SCORE_TILE`` gallery rows at a time through tile
     buffers made once per call (squares, pair norms, dots; unit rows too for
     a raw-row gallery). A tape state is one node: that loop on its channels'
-    values, with VJPs hand-written in the order of the channel sum of
+    values, with a backward hand-written in the order of the channel sum of
     (x @ t.T) / sqrt(sq @ (t * t).T). An ungated channel is one gemm.
     """
     channels, tn, norms = queries.channels, gallery.tn, gallery.norms
@@ -335,12 +378,14 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
     if not isinstance(channels[0][0], Var):
         return out
     t = tn if norms is None else tn / norms[:, None]
-    t_sq, vjps = t * t, []
-    for x, sq in plain:
-        n, d = _norms_and_dots(x, sq, t, t_sq)
-        vjps += [lambda g, n=n: (g / n) @ t,
-                 lambda g, n=n, d=d: (-g * d / (n * n) / (2.0 * n)) @ t_sq]
-    return ad.node(out, [v for c in channels for v in c], vjps)
+    t_sq = t * t
+    pairs = [_norms_and_dots(x, sq, t, t_sq) for x, sq in plain]
+
+    def backward(g):   # to each channel's x, then its sq
+        return [grad for n, d in pairs
+                for grad in ((g / n) @ t, (-g * d / (n * n) / (2.0 * n)) @ t_sq)]
+
+    return ad.node(out, [v for c in channels for v in c], backward)
 
 
 def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,
@@ -368,7 +413,7 @@ def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,
 # -- the flat layout -------------------------------------------------------------
 
 def params_to_vector(params: HeadParams) -> Array:
-    return np.concatenate([np.ravel(value_of(v)) for _, v in param_blocks(params)],
+    return np.concatenate([np.ravel(v) for _, v in param_blocks(params)],
                           dtype=np.float64)
 
 
@@ -398,7 +443,7 @@ def lift_params(params: HeadParams, tape: Tape) -> HeadParams:
 
     Training and the gradient check both differentiate through these leaves.
     """
-    blocks = {name: tape.leaf(value_of(v)) for name, v in param_blocks(params)}
+    blocks = {name: tape.leaf(v) for name, v in param_blocks(params)}
     return params_from_blocks(blocks, params.dims)
 
 
@@ -421,7 +466,7 @@ def save_checkpoint(params: HeadParams, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IIII", CHECKPOINT_VERSION, dims.h_t, dims.h_i, dims.h_hidden))
         for _, payload in param_blocks(params):
-            arr = np.ascontiguousarray(value_of(payload), dtype="<f8")
+            arr = np.ascontiguousarray(payload, dtype="<f8")
             fh.write(struct.pack("<I", arr.size))
             fh.write(arr.tobytes())
 

@@ -1,13 +1,16 @@
-"""The norm floor, row norms, the row normalizer and gradient verification.
+"""The norm floor, row norms, the row normalizer, the row softmax and
+gradient verification.
 
 ``NORM_EPS`` is the smallest norm the program will divide by.
 ``row_norms`` is the one row-norm loop, taken ``NORM_ROWS`` rows at a
 time so no bank-sized temporary is built, and ``normalize_rows`` the
 one row normalizer: a row whose norm is NaN or <= ``NORM_EPS`` raises
-``NearZeroNorm``. ``finite_diff_check`` is the ground-truth oracle used
-by the test suite and the ``gradcheck`` CLI command: it compares a given
-analytic gradient against central differences of a plain-array function,
-coordinate by coordinate, and builds no tape.
+``NearZeroNorm``. ``softmax_rows`` is the max-shifted row softmax of the
+attention branches and the loss. ``finite_diff_check`` is the
+ground-truth oracle used by the test suite and the ``gradcheck`` CLI
+command: it compares a given analytic gradient against central
+differences of a plain-array function, coordinate by coordinate, and
+builds no tape.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import value_of
 from .errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
 
 Array = np.ndarray
@@ -33,16 +35,15 @@ FD_ABS_TOL = 1e-7
 
 
 def guard_norms(norms, what: str) -> None:
-    """Raise ``NearZeroNorm`` unless every norm (array or tape Var) is > NORM_EPS.
+    """Raise ``NearZeroNorm`` unless every entry of the array ``norms`` is > NORM_EPS.
 
     The error carries the row of the first failing norm of a block.
     """
     # min() propagates NaN and NaN > eps is False, so NaN fails the guard
     # too; the inf start lets zero rows through.
-    values = value_of(norms)
-    smallest = float(values.min(initial=np.inf))
+    smallest = float(norms.min(initial=np.inf))
     if not smallest > NORM_EPS:
-        row = int(np.argwhere(~(np.atleast_1d(values) > NORM_EPS))[0, 0])
+        row = int(np.argwhere(~(np.atleast_1d(norms) > NORM_EPS))[0, 0])
         raise NearZeroNorm(f"{what} has norm {smallest!r}", row=row)
 
 
@@ -70,6 +71,12 @@ def normalize_rows(x: Array) -> Array:
     guard_norms(norms, "row to normalize")
     out /= norms[:, None]
     return out
+
+
+def softmax_rows(x: Array) -> Array:
+    """Row softmax of a matrix, each row shifted by its max first."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass

@@ -19,13 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, value_of
+from .autodiff import Tape, Var, value_of
 from .errors import (ConfigError, EmptySplit, NearZeroNorm, NonFiniteGradient,
                      ShapeMismatch)
 from .head import (Flavor, HeadDims, HeadParams, GAMMA_MIN, gradients_of,
                    init_params, lift_params, pairwise_scores, param_blocks,
                    param_count, vector_to_params)
-from .numerics import normalize_rows
+from .numerics import normalize_rows, softmax_rows
 
 Array = np.ndarray
 
@@ -91,7 +91,9 @@ def bbc_loss_from_scores(scores, gamma):
     """Mean softmax cross-entropy over in-batch targets.
 
     ``scores`` is the square batch score matrix (queries x targets,
-    matching index = positive). Accepts tape Vars or plain arrays.
+    matching index = positive). Plain arrays give a float; when ``gamma``
+    is a tape Var the loss is one node over ``gamma`` and, if it is a
+    Var too, ``scores``.
     """
     square = value_of(scores)
     if square.ndim != 2 or square.shape[0] != square.shape[1]:
@@ -99,9 +101,24 @@ def bbc_loss_from_scores(scores, gamma):
     b = square.shape[0]
     if b < 2:
         raise ShapeMismatch("loss needs at least 2 triplets for in-batch negatives")
-    z = gamma * scores
-    per_row = ad.logsumexp_rows(z) - ad.diag_part(z)
-    return per_row.sum() * (1.0 / b)
+    temperature = value_of(gamma)
+    z = temperature * square
+    top = z.max(axis=1)
+    per_row = (top + np.log(np.exp(z - top[:, None]).sum(axis=1))) - np.diagonal(z)
+    loss = per_row.sum() * (1.0 / b)
+    if not isinstance(gamma, Var):
+        return loss
+
+    def backward(g):
+        g_row = np.broadcast_to(g * (1.0 / b), (b,))
+        g_z = np.zeros_like(z)
+        np.fill_diagonal(g_z, -g_row)
+        g_z += softmax_rows(z) * g_row[:, None]
+        g_gamma = (g_z * square).sum(axis=(0, 1))
+        return (g_gamma, g_z * temperature) if taped else (g_gamma,)
+
+    taped = isinstance(scores, Var)
+    return ad.node(loss, [gamma, scores] if taped else [gamma], backward)
 
 
 def bbc_loss(r_rows: Array, m_rows: Array, t_rows: Array,

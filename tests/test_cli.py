@@ -520,6 +520,7 @@ BAD_RUN_SETTINGS = [
     ("block_size", "0", "block_size must be >= 1, got 0"),
     ("h_hidden", "-1", "h_hidden must be >= 0, got -1"),
     ("convention", "bogus", "unknown convention 'bogus'"),
+    ("selection_metric", "bogus", "'bogus' not in evaluation output"),
 ]
 
 

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from emis.autodiff import Tape
+from emis.autodiff import Tape, node
 from emis.errors import (BadMagic, ConfigError, DataError, NearZeroNorm, NonFiniteData,
                          ShapeMismatch, TruncatedFile)
 from emis.head import (
@@ -34,6 +34,13 @@ from conftest import (assert_one_flat_buffer, corruptions, one_hot_attention_par
                       oracle_from_params, traced_peak, unit_rows)
 
 FLAVORS = list(Flavor)
+
+
+def weighted_sum(scores, weights=1.0):
+    """(scores * weights).sum() as one tape node: a scalar root for backward."""
+    value = scores.value
+    return node((value * weights).sum(), [scores],
+                lambda g: (np.broadcast_to(g * weights, value.shape),))
 
 
 # -- complexity accounting ------------------------------------------------------
@@ -255,7 +262,7 @@ def test_pairwise_accepts_tape_vars():
     lifted = lift_params(params, tape)
     var = pairwise_scores(r_rows, m_rows, t_rows, lifted, Flavor.ARTEMIS)
     assert np.array_equal(var.value, plain)
-    tape.backward(var.sum())
+    tape.backward(weighted_sum(var))
     grads = gradients_of(lifted, tape)
     assert np.all(np.isfinite(params_to_vector(grads)))
 
@@ -283,6 +290,35 @@ def test_tiled_scores_match_oracle_and_tape_in_every_tile(flavor):
 
 
 @pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
+def test_query_side_nodes_match_finite_differences(flavor):
+    """The attention, query, x and sq nodes without the scoring node: a
+    weighted sum of every channel's x and sq against central differences."""
+    dims = HeadDims(6, 6, 5)
+    r_rows, m_rows, _ = _toy_batch(dims, 3, 1, seed=17)
+    rng = np.random.default_rng(17)
+    v0 = params_to_vector(init_params(dims, seed=17))
+    v0 += rng.normal(0.0, 0.3, size=v0.shape)   # biases off zero too
+
+    def channel_arrays(params):
+        return [v for c in encode_queries(r_rows, m_rows, params, flavor).channels for v in c]
+
+    tape = Tape()
+    lifted = lift_params(vector_to_params(v0, dims), tape)
+    arrays = channel_arrays(lifted)
+    weights = rng.standard_normal((len(arrays), 3, 6))
+    tape.backward(node(sum((v.value * w).sum() for v, w in zip(arrays, weights)), arrays,
+                       lambda g: [g * w for w in weights]))
+
+    def f(vec):
+        return sum((v * w).sum() for v, w in zip(channel_arrays(vector_to_params(vec, dims)),
+                                                 weights))
+
+    report = finite_diff_check(f, v0, params_to_vector(gradients_of(lifted, tape)),
+                               h=1e-4, tol=1e-5)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
 def test_tape_gradients_match_finite_differences_over_several_tiles(flavor):
     """The scoring node's hand-written VJPs, on a gallery of two full tiles
     and a ragged one, against central differences of the plain path."""
@@ -292,7 +328,8 @@ def test_tape_gradients_match_finite_differences_over_several_tiles(flavor):
     v0 = params_to_vector(init_params(dims, seed=13))
     tape = Tape()
     lifted = lift_params(vector_to_params(v0, dims), tape)
-    tape.backward((pairwise_scores(r_rows, m_rows, t_rows, lifted, flavor) * weights).sum())
+    tape.backward(weighted_sum(pairwise_scores(r_rows, m_rows, t_rows, lifted, flavor),
+                               weights))
 
     def f(vec):
         scores = pairwise_scores(r_rows, m_rows, t_rows, vector_to_params(vec, dims), flavor)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emis import autodiff as ad
 from emis.errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
 from emis.head import (ATTENTION_FLAVORS, AttentionParams, Flavor, HeadDims, attention_rows,
                        init_params, pairwise_scores, prepare_gallery)
-from emis.numerics import NORM_ROWS, finite_diff_check, normalize_rows, row_norms
+from emis.numerics import (NORM_ROWS, finite_diff_check, normalize_rows, row_norms,
+                           softmax_rows)
 
 import scalar_oracle
 from conftest import oracle_from_params
@@ -81,7 +81,7 @@ def test_normalize_rows_names_the_global_row_of_a_degenerate_norm(dtype, zero_fi
 # -- softmax (the attention's row softmax, on plain arrays) ----------------------------
 
 def softmax(v) -> np.ndarray:
-    return ad.softmax_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
+    return softmax_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
 
 
 def test_softmax_matches_oracle():

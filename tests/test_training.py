@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emis.autodiff import Tape
 from emis.data import SynthSpec, generate_synthetic
 from emis.errors import (
     ConfigError,
@@ -21,6 +22,7 @@ from emis.head import (
     HeadDims,
     head_param_count,
     init_params,
+    lift_params,
     pairwise_scores,
     param_blocks,
     params_to_vector,
@@ -115,6 +117,13 @@ def test_loss_shape_guards():
         bbc_loss_from_scores(np.zeros((1, 1)), 1.0)
 
 
+def test_loss_is_stable_at_large_scores():
+    """Each row's logsumexp is shifted by its max, so exp never overflows;
+    (1000 + log 2) - 1000 keeps log 2 to the ulps of 1000."""
+    loss = bbc_loss_from_scores(np.full((2, 2), 1000.0), 1.0)
+    assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+
+
 # -- loss gradients -----------------------------------------------------------------
 
 @pytest.mark.parametrize("flavor", list(Flavor), ids=[f.value for f in Flavor])
@@ -142,6 +151,23 @@ def test_loss_gradients_match_finite_differences(flavor):
     _, grads = bbc_loss(r, m, t, start, flavor)
     report = finite_diff_check(f, vec, params_to_vector(grads), h=h, tol=1e-4)
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("flavor, count", [
+    (Flavor.IMAGE_ONLY, 12), (Flavor.TEXT_ONLY, 12), (Flavor.LATE_FUSION, 12),
+    (Flavor.IS_ONLY, 17), (Flavor.EM_ONLY, 17), (Flavor.ARTEMIS, 21)],
+    ids=[f.value for f in Flavor])
+def test_loss_tape_is_one_node_per_fused_formula(flavor, count):
+    """11 parameter leaves, the loss node, and per attention channel its
+    attention MLP, query u, x, sq, plus one scoring node."""
+    dims = HeadDims(6, 6, 4)
+    rng = np.random.default_rng(4)
+    r, m, t = (unit_rows(rng, 4, 6) for _ in range(3))
+    tape = Tape()
+    live = lift_params(init_params(dims, seed=4), tape)
+    loss = bbc_loss_from_scores(pairwise_scores(r, m, t, live, flavor), live.gamma)
+    assert sum(ref() is not None for ref in tape._nodes) == count
+    assert loss.value.shape == ()
 
 
 def test_loss_gradients_zero_for_unused_blocks():
