@@ -2,21 +2,30 @@
 
 Candidates are ordered by descending score with ascending-id
 tie-breaks, so results are deterministic. The streaming evaluator
-prepares the gallery once per call, from the target bank's raw rows
-(kept raw beside their norms when a single block reads them), and
-scores the queries block by block against it, normalizing each
-block's raw query rows as it gathers them. A query's rank is one plus
-the number of candidates ahead of its first ground truth (scoring
-higher, or tied with a lower id), counted block-wide; subset ranks
-count over the members only. The sort this equals lives in
-``tests/rank_oracle.py`` as the ranker's oracle. The top-k dump uses
-exact partial selection over the whole block: the least of k segment
-maxima bounds each row's k-th best kept score from below, and only the
-candidates at or above it (every tie at the boundary included) are
-sorted, with the same tie-break. A NaN score is an
-error, never a rank; +-inf scores rank like any other value. Reports
-round to two decimals (half-up) only at emission; internal math keeps
-full precision.
+prepares the gallery once per call (the target bank's rows and their
+norms) and ranks the queries block by block, normalizing each block's
+query rows as it gathers them. A query's rank is one plus the number of
+candidates ahead of its first ground truth (scoring higher, or tied with
+a lower id); subset ranks count over the members only. The sort this
+equals lives in ``tests/rank_oracle.py`` as the ranker's oracle.
+
+Ranking is certified, not approximate. Each block first gets the exact
+float64 score s of every ground truth, then scores the gallery in
+float32 tiles, each within ``head.screen_margin`` m of its float64
+score. A candidate above s + m is ahead, one below s - m behind; only
+the few between (about one per query, mostly the ground truth itself)
+get exact scores, from ``head.pair_scores``, and are compared by
+(score, id rank) as before. Subset members are decided the same way.
+The top-k dump keeps each tile's candidates within 2m of a lower bound
+on the row's k-th best screen value, then orders the survivors by exact
+score. So ranks, dumps and metrics are those of float64 ranking, and no
+float32 value reaches them; no (Q, G) score block is held. A block with
+a pair the screen cannot vouch for (a NaN, or a float32 pair norm at or
+below 2 NORM_EPS) is ranked again from float64 tiles with m = 0, which
+raise the error, if any, as the float64 scoring always has. A NaN score
+is an error, never a rank; +-inf scores rank like any other value.
+Reports round to two decimals (half-up) only at emission; internal math
+keeps full precision.
 """
 
 from __future__ import annotations
@@ -34,8 +43,9 @@ import numpy as np
 from . import head
 from .errors import (ConfigError, EmptyInput, MissingCell, MissingSubset,
                      NearZeroNorm, NonFiniteGradient, ShapeMismatch, UnknownId)
-from .head import Flavor, HeadParams, pairwise_scores
-from .numerics import NORM_EPS, normalize_rows, row_norms
+from .head import Flavor, HeadParams
+from .head import pairwise_scores  # noqa: F401  perfbench/measure.py wraps this name
+from .numerics import NORM_EPS, normalize_rows, pad_rows, row_norms
 
 Array = np.ndarray
 
@@ -106,11 +116,6 @@ def _ahead(scores: Array, id_ranks: Array, s, r) -> Array:
     """Candidates ordered before (score ``s``, id rank ``r``): a higher
     score, or the same score and a lower id rank. Broadcasts."""
     return (scores > s) | ((scores == s) & (id_ranks < r))
-
-
-def _first(row: Array, cols, id_rank: Array) -> int:
-    """The column among ``cols`` that orders first by (-score, id rank)."""
-    return min(cols, key=lambda c: (-row[c], id_rank[c]))
 
 
 def raise_zero_norm_row(corpus, queries: Sequence[QuerySpec] = (), first: int = 0,
@@ -219,36 +224,292 @@ def _row_counts(mask: Array) -> Array:
     return np.fromiter(map(np.count_nonzero, mask), dtype=np.int64, count=mask.shape[0])
 
 
-def _top_k(block: Array, k: int, excluded: Array, id_rank: Array) -> tuple[Array, Array, Array]:
-    """Columns and scores of each row's k best kept candidates, best first.
+def _down(x: Array, dtype) -> Array:
+    """Float64 ``x`` in ``dtype``, rounded toward -inf."""
+    y = x.astype(dtype)
+    return np.where(y > x, np.nextafter(y, dtype.type(-np.inf)), y)
 
-    ``excluded`` is each row's excluded column, or -1. The rows' results
-    come back to back, with each row's end offset. Each row's first
-    ``k * (G // k)`` columns split into k disjoint segments; with the
-    excluded column held at -inf (and restored, so ``block`` is left as
-    it was), the least of the k segment maxima is a lower bound on the
-    row's k-th best kept score. Every kept candidate at or above it
-    (every tie at the boundary included) is sorted by (row, -score, id
-    rank) and each row keeps its first k, so the result equals the head
-    of a full sort.
+
+def _up(x: Array, dtype) -> Array:
+    """Float64 ``x`` in ``dtype``, rounded toward +inf."""
+    y = x.astype(dtype)
+    return np.where(y < x, np.nextafter(y, dtype.type(np.inf)), y)
+
+
+def _per_row(rows: Array, n_rows: int) -> Array:
+    return np.bincount(rows, minlength=n_rows)
+
+
+class BlockScores:
+    """One query block's scores against the prepared gallery, as ranking reads them.
+
+    ``tile(lo, hi, screened)`` scores gallery columns [lo, hi) into a fresh
+    array the caller may write: in float32 when ``screened``, each score
+    within ``margin`` of its float64 score, else the float64 scores.
+    ``exact(rows, cols)`` gives the float64 scores of those pairs, with the
+    bits of the float64 tiles. A NaN float64 score is NaN in float32 too,
+    and a finite one, a sum of at most two cosines, is finite in both.
     """
-    q, g = block.shape
-    k = min(k, g)
-    if k <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0), np.zeros(q, dtype=np.int64)
-    rows_x = np.flatnonzero(excluded >= 0)
-    held = block[rows_x, excluded[rows_x]]
-    block[rows_x, excluded[rows_x]] = -np.inf
-    bound = block[:, :k * (g // k)].reshape(q, k, g // k).max(axis=2).min(axis=1)
-    block[rows_x, excluded[rows_x]] = held
-    rows, cols = np.divmod(np.flatnonzero(block >= bound[:, None]), g)
-    kept = cols != excluded[rows]
-    rows, cols = rows[kept], cols[kept]
-    scores = block[rows, cols]
-    order = np.lexsort((id_rank[cols], -scores, rows))
-    counts = np.bincount(rows, minlength=q)
-    order = order[np.arange(order.size) - (np.cumsum(counts) - counts)[rows[order]] < k]
-    return cols[order], scores[order], np.cumsum(np.minimum(counts, k))
+
+    def __init__(self, state: head.QueryState, gallery: head.GalleryState):
+        self.state, self.gallery = state, gallery
+        self.screen = state.astype(np.float32)
+        self.margin = head.screen_margin(gallery.tn.shape[1])
+
+    def tile(self, lo: int, hi: int, screened: bool) -> Array:
+        state = self.screen if screened else self.state
+        return head.scores_from_state(state, self.gallery.rows(lo, hi))
+
+    def exact(self, rows: Array, cols: Array) -> Array:
+        return head.pair_scores(self.state, self.gallery, rows, cols)
+
+
+def block_scores(r_rows: Array, m_rows: Array, gallery: head.GalleryState, params: HeadParams,
+                 flavor: Flavor) -> BlockScores:
+    """Encode one block's normalized query rows for scoring against ``gallery``.
+
+    The rows are encoded padded (``pad_rows``), so a query's channels have
+    the same bits in a block of any size.
+    """
+    state = head.encode_queries(pad_rows(r_rows, 4), pad_rows(m_rows, 4), params, flavor)
+    return BlockScores(state.slice_rows(0, len(r_rows)), gallery)
+
+
+@dataclass
+class _Targets:
+    """What a block's queries rank: per query, its excluded column (or -1),
+    the gallery columns of its ground truths, and with subsets its members."""
+
+    excluded: Array
+    truths: list[list[int]]
+    members: list[set[int]] | None
+
+
+def _block_targets(chunk: Sequence[QuerySpec], index: Mapping[str, int],
+                   with_subsets: bool) -> _Targets:
+    excluded = np.array([index.get(q.ref_id, -1) if q.exclude_ref else -1 for q in chunk],
+                        dtype=np.int64)
+    truths = []
+    for q, skip in zip(chunk, excluded):
+        cols = [index[g] for g in q.ground_truth if g in index and index[g] != skip]
+        if not cols:
+            raise UnknownId(f"no ground truth of ({q.ref_id}, {q.mod_id}) in gallery")
+        truths.append(cols)
+    if not with_subsets:
+        return _Targets(excluded, truths, None)
+    members = []
+    for q, skip, cols in zip(chunk, excluded, truths):
+        unknown = [m for m in q.subset_members if m not in index]
+        if unknown:
+            raise UnknownId(f"subset member {unknown[0]!r} not in gallery")
+        kept = {index[m] for m in q.subset_members} - {skip}
+        if not kept & set(cols):
+            raise MissingSubset(f"query ({q.ref_id}, {q.mod_id}): ground truth "
+                                "excluded from its own subset")
+        members.append(kept)
+    return _Targets(excluded, truths, members)
+
+
+@dataclass
+class _Band:
+    """Rows' exact scores ``s`` and id ranks ``r``, and the screen's margin.
+
+    A screen value above s + margin is ahead of (s, r), one below
+    s - margin behind it; one between needs its exact score, compared by
+    (score, id rank).
+    """
+
+    s: Array
+    r: Array
+    margin: float
+
+    def bounds(self, dtype) -> tuple[Array, Array]:
+        """s - margin and s + margin in ``dtype``, rounded outward."""
+        return _down(self.s - self.margin, dtype), _up(self.s + self.margin, dtype)
+
+    def ahead(self, rows: Array, exact: Array, id_ranks: Array) -> Array:
+        return _ahead(exact, id_ranks, self.s[rows], self.r[rows])
+
+
+# Column classes (columns equal mod TOP_STRIPES) of a tile whose maxima bound
+# a dump row's k-th best score from below.
+TOP_STRIPES = 64
+
+
+def _nonzero(mask: Array) -> tuple[Array, Array]:
+    """``np.nonzero`` of a 2-D mask, from one flat scan (about 8x faster)."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+class _TopK:
+    """Each row's candidates for its k best kept columns, tile by tile.
+
+    With theta a row's k-th largest kept screen value, every column of the
+    true top k (ties at the boundary too) scores at least theta - margin
+    exactly, so at least theta - 2 margin on the screen. The k-th largest
+    of the maxima of disjoint column sets is a lower bound on theta, since
+    k distinct columns reach it: each tile's columns are split by their
+    index mod ``TOP_STRIPES`` (its excluded column held at -inf), the k
+    largest maxima so far are kept, and the tile keeps its columns at or
+    above the least of them less 2 margin. The survivors then go down to
+    theta - 2 margin, and ``best`` orders them by (-exact score, id rank)
+    and keeps each row's first k.
+    """
+
+    def __init__(self, k: int, n_rows: int, margin: float):
+        self.k, self.n_rows, self.margin = k, n_rows, margin
+        self.stripes = max(k, TOP_STRIPES)
+        self.maxima = np.full((n_rows, k), -np.inf)   # the k largest set maxima so far
+        self.rows, self.cols, self.vals = [], [], []
+
+    def _cut(self, theta: Array, dtype) -> Array:
+        return _down(theta.astype(np.float64) - 2.0 * self.margin, dtype)
+
+    def add(self, tile: Array, lo: int) -> None:
+        q, w = tile.shape
+        full = w - w % self.stripes
+        if full:
+            maxima = tile[:, :full].reshape(q, full // self.stripes, self.stripes).max(axis=1)
+            pool = np.concatenate([self.maxima, maxima], axis=1)
+            self.maxima = np.partition(pool, pool.shape[1] - self.k, axis=1)[:, -self.k:]
+        cut = self._cut(self.maxima.min(axis=1), tile.dtype)
+        rows = np.flatnonzero(tile.max(axis=1) >= cut)   # few, once the bound is up
+        part = tile[rows]
+        at, cols = _nonzero(part >= cut[rows, None])
+        self.rows.append(rows[at])
+        self.cols.append(cols + lo)
+        self.vals.append(part[at, cols])
+
+    def survivors(self, excluded: Array) -> tuple[Array, Array]:
+        """The candidates (rows, cols) within 2 margin of their row's theta,
+        excluded columns dropped."""
+        rows, cols, vals = (np.concatenate(v) for v in (self.rows, self.cols, self.vals))
+        kept = cols != excluded[rows]
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+        order = np.lexsort((-vals, rows))
+        counts = _per_row(rows, self.n_rows)
+        full = np.flatnonzero(counts >= self.k)
+        theta = np.full(self.n_rows, -np.inf)
+        theta[full] = vals[order[(np.cumsum(counts) - counts)[full] + self.k - 1]]
+        kept = vals >= self._cut(theta, vals.dtype)[rows]
+        return rows[kept], cols[kept]
+
+    def best(self, rows: Array, cols: Array, exact: Array, id_rank: Array):
+        """``_dump_lines``' columns, exact scores and row ends, best first."""
+        order = np.lexsort((id_rank[cols], -exact, rows))
+        counts = _per_row(rows, self.n_rows)
+        order = order[np.arange(order.size) - (np.cumsum(counts) - counts)[rows[order]] < self.k]
+        return cols[order], exact[order], np.cumsum(np.minimum(counts, self.k))
+
+
+def _raise_nan(start: int, chunk: Sequence[QuerySpec], rows: Array) -> None:
+    """Raise NonFiniteGradient naming the first of ``rows``, if any."""
+    if rows.size:
+        i = int(rows.min())
+        raise NonFiniteGradient(f"query {start + i} ({chunk[i].ref_id}, {chunk[i].mod_id}) "
+                                "has a NaN score")
+
+
+def _rank_block(scores: BlockScores, screened: bool, n_gallery: int, id_rank: Array,
+                targets: _Targets, dump_top_k: int | None, start: int,
+                chunk: Sequence[QuerySpec]):
+    """Ranks, subset ranks and dump columns of one block, tile by tile.
+
+    Screened, each comparison with a query's exact first-ground-truth score
+    s is decided on the float32 tile wherever it falls outside s +- margin;
+    the rest are settled on exact scores. Unscreened, the tiles hold the
+    float64 scores and the margin is 0, so only ties are looked up. A NaN
+    score raises NonFiniteGradient once every tile is scored, so the
+    tiles' pair-norm guard fires first, as over a whole block.
+    """
+    q = len(chunk)
+    margin = scores.margin if screened else 0.0
+    excluded = targets.excluded
+    truth_rows = np.repeat(np.arange(q), [len(c) for c in targets.truths])
+    truth_cols = np.concatenate(targets.truths)
+    truth_vals = scores.exact(truth_rows, truth_cols)
+    truth = dict(zip(zip(truth_rows.tolist(), truth_cols.tolist()), truth_vals.tolist()))
+
+    def band_of(truths: list[list[int]]) -> tuple[_Band, list[int]]:
+        """The band around, and the column of, each row's first of ``truths[i]``
+        by (-exact score, id rank)."""
+        best = [min(cols, key=lambda c: (-truth[i, c], id_rank[c]))
+                for i, cols in enumerate(truths)]
+        return _Band(np.array([truth[i, c] for i, c in enumerate(best)]), id_rank[best],
+                     margin), best
+
+    band, _ = band_of(targets.truths)
+    ranks = np.ones(q, dtype=np.int64)
+    near_rows, near_cols = [], []   # pairs within the band
+    members = targets.members
+    if members is not None:
+        # A subset counts its members ahead of its first ground truth.
+        sub_band, sub_first = band_of([[c for c in cols if c in kept]
+                                       for cols, kept in zip(targets.truths, members)])
+        member_cols = [sorted(kept - {f}) for kept, f in zip(members, sub_first)]
+        m_rows = np.repeat(np.arange(q), [len(c) for c in member_cols])
+        m_cols = np.array([c for cols in member_cols for c in cols], dtype=np.int64)
+        subset_ranks = np.ones(q, dtype=np.int64)
+        m_near = np.zeros(len(m_rows), dtype=bool)
+    top = _TopK(min(dump_top_k, n_gallery), q, margin) if dump_top_k else None
+    with_x = np.flatnonzero(excluded >= 0)
+    nan_rows = np.zeros(q, dtype=bool)
+    for lo in range(0, n_gallery, head.SCORE_TILE):
+        hi = min(lo + head.SCORE_TILE, n_gallery)
+        tile = scores.tile(lo, hi, screened)
+        if np.isnan(tile.max()):
+            nan_rows |= np.isnan(tile).any(axis=1)
+        here = with_x[(excluded[with_x] >= lo) & (excluded[with_x] < hi)]
+        tile[here, excluded[here] - lo] = -np.inf
+        low, high = band.bounds(tile.dtype)
+        mask = tile > high[:, None]
+        n_ahead = _row_counts(mask)
+        ranks += n_ahead
+        rows = np.flatnonzero(_row_counts(np.greater_equal(tile, low[:, None], out=mask))
+                              > n_ahead)
+        if rows.size:
+            part = tile[rows]
+            at, cols = _nonzero((part >= low[rows, None]) & (part <= high[rows, None]))
+            kept = cols + lo != excluded[rows[at]]
+            near_rows.append(rows[at][kept])
+            near_cols.append(cols[kept] + lo)
+        if members is not None:
+            sel = np.flatnonzero((m_cols >= lo) & (m_cols < hi))
+            vals = tile[m_rows[sel], m_cols[sel] - lo]
+            low, high = sub_band.bounds(tile.dtype)
+            above = vals > high[m_rows[sel]]
+            subset_ranks += _per_row(m_rows[sel][above], q)
+            m_near[sel] = ~above & (vals >= low[m_rows[sel]])
+        if top is not None:
+            top.add(tile, lo)
+    _raise_nan(start, chunk, np.flatnonzero(nan_rows))
+    # One exact call settles every pair left: those within the band, the
+    # subset members within theirs, and the dump's candidates.
+    groups = [(np.concatenate([np.empty(0, dtype=np.int64), *near_rows]),
+               np.concatenate([np.empty(0, dtype=np.int64), *near_cols]))]
+    if members is not None:
+        groups.append((m_rows[m_near], m_cols[m_near]))
+    if top is not None:
+        groups.append(top.survivors(excluded))
+    rows = np.concatenate([g[0] for g in groups])
+    exact = scores.exact(rows, np.concatenate([g[1] for g in groups]))
+    # A NaN here means the screen vouched for nothing: the caller ranks unscreened.
+    _raise_nan(start, chunk, np.concatenate([rows[np.isnan(exact)],
+                                             truth_rows[np.isnan(truth_vals)]]))
+    exact = np.split(exact, np.cumsum([len(g[0]) for g in groups])[:-1])
+    (b_rows, b_cols), b_exact = groups[0], exact[0]
+    ranks += _per_row(b_rows[band.ahead(b_rows, b_exact, id_rank[b_cols])], q)
+    subset = None
+    if members is not None:
+        (s_rows, s_cols), s_exact = groups[1], exact[1]
+        ahead = sub_band.ahead(s_rows, s_exact, id_rank[s_cols])
+        subset = subset_ranks + _per_row(s_rows[ahead], q)
+    dump = None
+    if top is not None:
+        dump = top.best(*groups[-1], exact[-1], id_rank)
+    elif dump_top_k is not None:   # k = 0
+        dump = (np.empty(0, dtype=np.int64), np.empty(0), np.zeros(q, dtype=np.int64))
+    return ranks, subset, dump
 
 
 def _json_float(x: float) -> str:
@@ -259,10 +520,11 @@ def _dump_lines(first: int, chunk: Sequence[QuerySpec], ranks: Array, gallery_id
                 cols: Array, scores: Array, ends: Array) -> list[str]:
     """Each query's dump line, the bytes ``json.dumps`` (sorted keys) writes.
 
-    ``cols``, ``scores`` and ``ends`` are ``_top_k``'s output for the
-    queries of ``chunk``, the first of which is query ``first``. Strings
-    go through JSON's own encoder and finite scores through ``repr``, as
-    in ``json.dumps``; only a non-finite score calls ``json.dumps``.
+    ``cols``, ``scores`` and ``ends`` are the top-k columns, exact scores
+    and row end offsets of the queries of ``chunk``, the first of which is
+    query ``first``. Strings go through JSON's own encoder and finite
+    scores through ``repr``, as in ``json.dumps``; only a non-finite score
+    calls ``json.dumps``.
     """
     entries = list(map('{{"id": {}, "score": {}}}'.format,
                        [_json_str(gallery_ids[c]) for c in cols.tolist()],
@@ -276,7 +538,7 @@ def _dump_lines(first: int, chunk: Sequence[QuerySpec], ranks: Array, gallery_id
 def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavor: Flavor,
                  block_size: int = DEFAULT_BLOCK_SIZE, workers: int = 1,
                  dump_top_k: int | None = None) -> Rankings:
-    """Streamed ranking: one prepared gallery, block scoring, counted ranks.
+    """Streamed ranking: one prepared gallery, screened tiles, counted ranks.
 
     Subset ranks are computed when every query carries a subset. With
     ``dump_top_k`` set, each query also gets a JSON line with its rank
@@ -292,8 +554,7 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
     index = corpus.targets.index
     id_rank = _id_rank_of(gallery_ids)
     try:
-        gallery = head.prepare_gallery(corpus.targets.data, params.dims, flavor,
-                                       one_pass=len(queries) <= block_size)
+        gallery = head.prepare_gallery(corpus.targets.data, params.dims, flavor)
     except NearZeroNorm:
         raise_zero_norm_row(corpus, targets=np.arange(n_gallery))
         raise
@@ -305,71 +566,30 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
     with_subsets = all(q.subset_members is not None for q in queries)
 
     def eval_block(lo: int, hi: int):
+        chunk = queries[lo:hi]
+        targets = _block_targets(chunk, index, with_subsets)
+
+        def rank(scores, screened):
+            return _rank_block(scores, screened, n_gallery, id_rank, targets, dump_top_k,
+                               lo, chunk)
+
         try:
-            block = pairwise_scores(normalize_rows(corpus.refs.data[ref_rows[lo:hi]]),
-                                    normalize_rows(corpus.mods.data[mod_rows[lo:hi]]),
-                                    gallery, params, flavor)
+            scores = block_scores(normalize_rows(corpus.refs.data[ref_rows[lo:hi]]),
+                                  normalize_rows(corpus.mods.data[mod_rows[lo:hi]]),
+                                  gallery, params, flavor)
+            try:
+                ranked = rank(scores, True)
+            except (NearZeroNorm, NonFiniteGradient):
+                # A pair the float32 screen cannot vouch for: rank the block
+                # on float64 tiles, which raise the error if there is one.
+                ranked = rank(scores, False)
         except NearZeroNorm as exc:
             raise_zero_norm_row(corpus, queries, lo, refs=ref_rows[lo:hi], mods=mod_rows[lo:hi])
             q = queries[lo + exc.row]
             raise NearZeroNorm(f"query {lo + exc.row} ({q.ref_id}, {q.mod_id}): {exc}") from None
-        nan_rows = np.flatnonzero(np.isnan(block.max(axis=1)))
-        if nan_rows.size:
-            bad = lo + int(nan_rows[0])
-            raise NonFiniteGradient(f"query {bad} ({queries[bad].ref_id}, "
-                                    f"{queries[bad].mod_id}) has a NaN score")
-        chunk = queries[lo:hi]
-        excluded = np.array([index.get(q.ref_id, -1) if q.exclude_ref else -1 for q in chunk],
-                            dtype=np.int64)
-        gt_cols = []
-        for q, skip in zip(chunk, excluded):
-            cols = [index[g] for g in q.ground_truth if g in index and index[g] != skip]
-            if not cols:
-                raise UnknownId(f"no ground truth of ({q.ref_id}, {q.mod_id}) in gallery")
-            gt_cols.append(cols)
-        # Id ranks are unique, so the order is total and the best rank is
-        # that of the first ground truth: count the candidates ahead of it.
-        # The equality mask reuses the comparison's buffer, so one (Q, G)
-        # bool array is alive, and only a row with a tie besides its ground
-        # truth runs the id-rank test.
-        first = np.array([_first(row, cols, id_rank) for row, cols in zip(block, gt_cols)])
-        s, r = block[np.arange(hi - lo), first], id_rank[first]
-        mask = block > s[:, None]
-        block_ranks = 1 + _row_counts(mask)
-        tied = np.flatnonzero(_row_counts(np.equal(block, s[:, None], out=mask)) > 1)
-        del mask
-        for i in tied:
-            block_ranks[i] += np.count_nonzero((block[i] == s[i]) & (id_rank < r[i]))
-        for i in np.flatnonzero(excluded >= 0):
-            col = excluded[i]
-            block_ranks[i] -= _ahead(block[i, col], id_rank[col], s[i], r[i])
-        block_subset = None
-        if with_subsets:
-            # Each row lists its first ground truth in the subset, then the
-            # members; rows are padded with that first one, never ahead of
-            # itself, so one gather and one comparison count them all.
-            member_lists = []
-            for i, q in enumerate(chunk):
-                unknown = [m for m in q.subset_members if m not in index]
-                if unknown:
-                    raise UnknownId(f"subset member {unknown[0]!r} not in gallery")
-                members = {index[m] for m in q.subset_members} - {excluded[i]}
-                cols = [c for c in gt_cols[i] if c in members]
-                if not cols:
-                    raise MissingSubset(f"query ({q.ref_id}, {q.mod_id}): ground truth "
-                                        "excluded from its own subset")
-                member_lists.append([_first(block[i], cols, id_rank), *members])
-            width = max(map(len, member_lists))
-            member_cols = np.array([m + m[:1] * (width - len(m)) for m in member_lists],
-                                   dtype=np.int64)
-            vals = np.take_along_axis(block, member_cols, axis=1)
-            ranks = id_rank[member_cols]
-            block_subset = 1 + _ahead(vals, ranks, vals[:, :1], ranks[:, :1]).sum(axis=1)
-        block_dump: list[str] = []
-        if dump_top_k is not None:
-            block_dump = _dump_lines(lo, chunk, block_ranks, gallery_ids,
-                                     *_top_k(block, dump_top_k, excluded, id_rank))
-        return block_ranks, block_subset, block_dump
+        ranks, subset, dump = ranked
+        lines = [] if dump is None else _dump_lines(lo, chunk, ranks, gallery_ids, *dump)
+        return ranks, subset, lines
 
     pieces = _map_blocks(eval_block, _blocks(len(queries), block_size), workers)
     return Rankings(

@@ -12,9 +12,12 @@ times one by one: query encoding, gallery preparation and scoring. Its
 parameters are plain float64 arrays (evaluation) or tape ``Var``s
 (training). Both attention scores have one form, the attended cosine
 cos(u, a * t), so a query is a list of channels that scoring sums without
-asking which flavor built them. ``scores_from_state`` holds the one kernel
-for gated channels: ``SCORE_TILE`` gallery rows at a time, with the
-pair-norm guard per tile.
+asking which flavor built them. ``scores_from_state`` holds the one
+kernel: ``SCORE_TILE`` gallery rows at a time, with the pair-norm guard
+per tile, in the dtype of the query channels. Ranking screens every pair
+in float32 and asks ``pair_scores`` for the float64 scores of the few
+pairs the screen's error bound, ``screen_margin``, cannot decide; those
+have the bits the float64 tiles give.
 
 Each formula (an attention MLP, a channel's query u, its x and sq, the
 channel sum) is written once in plain numpy. On tape parameters it
@@ -38,19 +41,40 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var, value_of
 from .errors import BadMagic, ConfigError, NonFiniteData, ShapeMismatch, TruncatedFile
-from .numerics import guard_norms, normalize_rows, row_norms, softmax_rows
+from .numerics import (NORM_EPS, guard_norms, normalize_rows, padded_gemm, row_norms,
+                       softmax_rows)
 
 Array = np.ndarray
 
 GAMMA_INIT = 10.0
 GAMMA_MIN = 1e-3
 
-# Gallery rows per scoring tile for the attention flavors; it sizes the tile
-# buffers: squares and, for a one-pass gallery, unit rows (SCORE_TILE x D),
-# pair norms and dot products (Q x SCORE_TILE). A multiple of 8: on the
-# OpenBLAS kernels measured such tiles keep the whole-gallery gemm's bits,
-# while other widths (a last tile of G % 8 != 0 rows too) move last bits.
+# Gallery rows per scoring tile; it sizes the tile buffers: unit rows and
+# squares (SCORE_TILE x D), pair norms and dot products (Q x SCORE_TILE). A
+# multiple of 8: on the OpenBLAS kernels measured such tiles keep the
+# whole-gallery gemm's bits, while other widths (a last tile of G % 8 != 0
+# rows too) move last bits.
 SCORE_TILE = 2048
+
+# Query rows per gathered gemm of ``pair_scores``.
+PAIR_ROWS = 40
+
+
+def screen_margin(width: int) -> float:
+    """Bound on |float32 score - float64 score| at inner width ``width`` (K).
+
+    Each channel is a cosine, |d / n| <= 1, and sum |x_k t_k| <= n by
+    Cauchy-Schwarz. With u = 2^-24 and Higham's gamma_k = k u / (1 - k u),
+    x and sq are rounded once, a unit row t twice (its norm, then the
+    division) and each dot product adds gamma_K, so the dots d are within
+    gamma_{K+3} n and the pair norms n within gamma_{K+6} / 2 + u relative,
+    and a channel's float32 value is within gamma_{K+3} + gamma_{K+6} / 2
+    + 2u of its float64 value. Two channels and their float32 sum stay
+    within (3K + 18) u, an ungated score within gamma_{K+3}; the margin
+    4 (K + 8) u covers both, and attention weights that underflow in
+    float32 move a decided score (pair norm > 2 NORM_EPS) by < 1e-20.
+    """
+    return 4.0 * (width + 8) * 2.0 ** -24
 
 
 class Flavor(Enum):
@@ -229,19 +253,41 @@ class QueryState:
                           [(x[start:stop], None if sq is None else sq[start:stop])
                            for x, sq in self.channels])
 
+    def astype(self, dtype) -> "QueryState":
+        """The same channels rounded to ``dtype``; plain-array states only."""
+        return QueryState(self.flavor, self.n_queries,
+                          [(x.astype(dtype), None if sq is None else sq.astype(dtype))
+                           for x, sq in self.channels])
+
 
 @dataclass
 class GalleryState:
     """Candidate-side arrays, which every flavor can score.
 
-    ``tn`` (G, D) holds the unit float64 gallery rows; or, when ``norms``
-    is set, the raw rows (float32 bank rows, say) and ``norms`` their
-    guarded float64 norms, and scoring divides each tile into unit rows
-    as it reads it.
+    ``tn`` (G, D) holds the gallery rows as given (float32 bank rows, say)
+    and ``norms`` their guarded float64 norms. Scoring divides each tile it
+    reads into unit rows (``unit_rows``) in its own dtype, so no G x D copy
+    of the gallery is made in any dtype.
     """
 
     tn: Array
-    norms: Array | None = None
+    norms: Array
+
+    def rows(self, lo: int, hi: int) -> "GalleryState":
+        """View of gallery rows [lo, hi)."""
+        return GalleryState(self.tn[lo:hi], self.norms[lo:hi])
+
+    def unit_rows(self, picked, out: Array | None = None) -> Array:
+        """Unit rows of ``picked`` (a slice or row indices) into ``out``.
+
+        Float64 (the default) unit rows are float64(row) / norm, bit for bit
+        those of ``normalize_rows``; float32 ones divide by the norms rounded
+        to float32, which is three times as fast for float32 rows.
+        """
+        norms = self.norms[picked, None]
+        if out is not None and out.dtype == np.float32:
+            norms = norms.astype(np.float32)
+        return np.divide(self.tn[picked], norms, out=out)
 
 
 def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryState:
@@ -318,67 +364,72 @@ def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryS
     return QueryState(flavor, n, channels)
 
 
-def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor,
-                    one_pass: bool = False) -> GalleryState:
-    """Candidate-side phase: normalize once.
+def prepare_gallery(t_rows, dims: HeadDims, flavor: Flavor) -> GalleryState:
+    """Candidate-side phase: the rows' guarded norms, the same for every flavor.
 
-    ``t_rows`` may be float32 bank rows; the normalized float64 rows are
-    the one widened copy, and the state is the same for every flavor.
-    With ``one_pass`` (the caller scores a single query block against the
-    state), an attention flavor keeps ``t_rows`` and their guarded norms
-    instead, and scoring builds each tile's unit rows, bit for bit those
-    of ``normalize_rows``: no G x D float64 copy is made.
+    ``t_rows`` (float32 bank rows, say) are kept as given, beside their
+    float64 norms; scoring divides each tile as it reads it.
     """
     t_rows = np.asarray(t_rows)
     if t_rows.ndim != 2:
         raise ShapeMismatch("prepare_gallery expects a 2-D row block")
     if t_rows.shape[1] != dims.h_i:
         raise ShapeMismatch(f"candidate width {t_rows.shape[1]} vs h_i {dims.h_i}")
-    if one_pass and flavor in ATTENTION_FLAVORS:
-        norms = row_norms(t_rows)
-        guard_norms(norms, "row to normalize")
-        return GalleryState(tn=t_rows, norms=norms)
-    return GalleryState(tn=normalize_rows(t_rows))
+    norms = row_norms(t_rows)
+    guard_norms(norms, "row to normalize")
+    return GalleryState(t_rows, norms)
 
 
-def _norms_and_dots(x, sq, t, t_sq, n=None, d=None):
+def _norms_and_dots(x, sq, t, t_sq, n=None, d=None, eps=NORM_EPS):
     """One channel against rows ``t``: guarded pair norms sqrt(sq . t^2), then dots x . t."""
     n = np.matmul(sq, t_sq.T, out=n)
-    guard_norms(np.sqrt(n, out=n), "attention-weighted candidate")
+    guard_norms(np.sqrt(n, out=n), "attention-weighted candidate", eps)
     return n, np.matmul(x, t.T, out=d)
 
 
 def scores_from_state(queries: QueryState, gallery: GalleryState):
     """Scoring phase: the channel sum of ``queries`` against the gallery.
 
-    Gated channels go ``SCORE_TILE`` gallery rows at a time through tile
-    buffers made once per call (squares, pair norms, dots; unit rows too for
-    a raw-row gallery). A tape state is one node: that loop on its channels'
-    values, with a backward hand-written in the order of the channel sum of
-    (x @ t.T) / sqrt(sq @ (t * t).T). An ungated channel is one gemm.
+    The sum is taken in the channels' dtype, ``SCORE_TILE`` gallery rows
+    at a time, through tile buffers made once per call (unit rows,
+    squares, pair norms, dots). Float32 channels give the screen that
+    ranking reads, within ``screen_margin`` of the float64 scores, and
+    their pair-norm guard fires at 2 * NORM_EPS, so it passes no pair that
+    the float64 guard would fail. A gated tape state is one node: that
+    loop on its channels' values, with a backward hand-written in the
+    order of the channel sum of (x @ t.T) / sqrt(sq @ (t * t).T).
     """
-    channels, tn, norms = queries.channels, gallery.tn, gallery.norms
-    if any(sq is None for _, sq in channels):
-        return channels[0][0] @ (tn if norms is None else tn / norms[:, None]).T
-    plain = [(value_of(x), value_of(sq)) for x, sq in channels]
-    q, g, w = plain[0][0].shape[0], tn.shape[0], min(tn.shape[0], SCORE_TILE)
-    out, t_sq, flat = np.empty((q, g)), np.empty((w, tn.shape[1])), np.empty((2, q * w))
-    unit = None if norms is None else np.empty_like(t_sq)
+    channels = queries.channels
+    plain = [(value_of(x), None if sq is None else value_of(sq)) for x, sq in channels]
+    dtype = plain[0][0].dtype
+    eps = NORM_EPS if dtype == np.float64 else 2 * NORM_EPS
+    q, (g, dim) = plain[0][0].shape[0], gallery.tn.shape
+    w = min(g, SCORE_TILE)
+    # A tape state (a training batch) keeps its unit rows for the backward.
+    whole = gallery.unit_rows(slice(None)) if isinstance(channels[0][0], Var) else None
+    out, t_sq = np.empty((q, g), dtype), np.empty((w, dim), dtype)
+    flat = np.empty((2, q * w), dtype)
+    unit = np.empty((w, dim), dtype) if whole is None else None
     for lo in range(0, g, SCORE_TILE):
-        t = tn[lo:lo + SCORE_TILE]
-        if unit is not None:   # float64(x) / n, as normalize_rows divides
-            t = np.divide(t, norms[lo:lo + SCORE_TILE, None], out=unit[:len(t)])
-        sq_t, o = np.multiply(t, t, out=t_sq[:len(t)]), out[:, lo:lo + len(t)]
-        n, d = flat[:, :q * len(t)].reshape(2, q, len(t))   # contiguous, ragged or not
+        hi = min(lo + SCORE_TILE, g)
+        t = gallery.unit_rows(slice(lo, hi), unit[:hi - lo]) if whole is None else whole[lo:hi]
+        o = out[:, lo:hi]
+        n, d = flat[:, :q * (hi - lo)].reshape(2, q, hi - lo)   # contiguous, ragged or not
+        if plain[0][1] is None:   # one ungated channel: one gemm, into a contiguous buffer
+            if o.flags.c_contiguous:
+                np.matmul(plain[0][0], t.T, out=o)
+            else:
+                o[...] = np.matmul(plain[0][0], t.T, out=d)
+            continue
+        sq_t = np.multiply(t, t, out=t_sq[:hi - lo])
         for k, (x, sq) in enumerate(plain):
-            _norms_and_dots(x, sq, t, sq_t, n, d)
+            _norms_and_dots(x, sq, t, sq_t, n, d, eps)
             np.divide(d, n, out=d if k else o)
             if k:
                 np.add(o, d, out=o)
-    if not isinstance(channels[0][0], Var):
+    if whole is None:
         return out
-    t = tn if norms is None else tn / norms[:, None]
-    t_sq = t * t
+    t, t_sq = whole, whole * whole
     pairs = [_norms_and_dots(x, sq, t, t_sq) for x, sq in plain]
 
     def backward(g):   # to each channel's x, then its sq
@@ -386,6 +437,46 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
                 for grad in ((g / n) @ t, (-g * d / (n * n) / (2.0 * n)) @ t_sq)]
 
     return ad.node(out, [v for c in channels for v in c], backward)
+
+
+def _distinct(values: Array) -> Array:
+    """The distinct values, ascending. Not ``np.unique``: its first call
+    keeps about 0.5 MB allocated for the rest of the process, wherever the
+    heap has room at that moment."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def pair_scores(queries: QueryState, gallery: GalleryState, rows, cols) -> Array:
+    """Float64 scores of the pairs (``rows[j]``, ``cols[j]``) of a plain state.
+
+    Each score has the bits that float64 ``scores_from_state`` gives the
+    pair at full tile sizes: the pairs of each ``PAIR_ROWS`` query rows are
+    one ``padded_gemm`` per product against the union of their gallery
+    rows, whose unit rows are divided as the tiles divide them. No guard
+    runs here: the caller scores every pair it asks about through a
+    guarded tile, and a pair norm of 0 gives inf or NaN silently.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    out = np.empty(len(rows))
+    picked = _distinct(rows)
+    for start in range(0, len(picked), PAIR_ROWS):
+        part = picked[start:start + PAIR_ROWS]
+        sel = np.flatnonzero((rows >= part[0]) & (rows <= part[-1]))
+        at_col = _distinct(cols[sel])
+        col_pos = np.searchsorted(at_col, cols[sel])
+        t = gallery.unit_rows(at_col)
+        total = None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x, sq in queries.channels:
+                score = padded_gemm(x[part], t)
+                if sq is not None:
+                    score /= np.sqrt(padded_gemm(sq[part], t * t))
+                total = score if total is None else total + score
+        out[sel] = total[np.searchsorted(part, rows[sel]), col_pos]
+    return out
 
 
 def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,

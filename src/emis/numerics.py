@@ -1,12 +1,14 @@
-"""The norm floor, row norms, the row normalizer, the row softmax and
-gradient verification.
+"""The norm floor, row norms, the row normalizer, the row softmax, the
+padded gemm and gradient verification.
 
 ``NORM_EPS`` is the smallest norm the program will divide by.
 ``row_norms`` is the one row-norm loop, taken ``NORM_ROWS`` rows at a
 time so no bank-sized temporary is built, and ``normalize_rows`` the
 one row normalizer: a row whose norm is NaN or <= ``NORM_EPS`` raises
 ``NearZeroNorm``. ``softmax_rows`` is the max-shifted row softmax of the
-attention branches and the loss. ``finite_diff_check`` is the
+attention branches and the loss. ``padded_gemm`` multiplies gathered
+rows so that each entry has the bits of the same entry of a full-tile
+gemm. ``finite_diff_check`` is the
 ground-truth oracle used by the test suite and the ``gradcheck`` CLI
 command: it compares a given analytic gradient against central
 differences of a plain-array function, coordinate by coordinate, and
@@ -34,16 +36,16 @@ FD_ABS_FLOOR = 1e-6
 FD_ABS_TOL = 1e-7
 
 
-def guard_norms(norms, what: str) -> None:
-    """Raise ``NearZeroNorm`` unless every entry of the array ``norms`` is > NORM_EPS.
+def guard_norms(norms, what: str, eps: float = NORM_EPS) -> None:
+    """Raise ``NearZeroNorm`` unless every entry of the array ``norms`` is > ``eps``.
 
     The error carries the row of the first failing norm of a block.
     """
     # min() propagates NaN and NaN > eps is False, so NaN fails the guard
     # too; the inf start lets zero rows through.
     smallest = float(norms.min(initial=np.inf))
-    if not smallest > NORM_EPS:
-        row = int(np.argwhere(~(np.atleast_1d(norms) > NORM_EPS))[0, 0])
+    if not smallest > eps:
+        row = int(np.argwhere(~(np.atleast_1d(norms) > eps))[0, 0])
         raise NearZeroNorm(f"{what} has norm {smallest!r}", row=row)
 
 
@@ -71,6 +73,36 @@ def normalize_rows(x: Array) -> Array:
     guard_norms(norms, "row to normalize")
     out /= norms[:, None]
     return out
+
+
+def pad_rows(rows: Array, multiple: int) -> Array:
+    """``rows`` with copies of its first row appended, up to
+    max(multiple * ceil(n / multiple), 40) rows; unchanged when already there.
+
+    A gemm's bits depend on its shape only through the kernel OpenBLAS
+    picks for it, and small or ragged shapes take paths that sum in
+    another order. Padded this way, the rows of a product come out with
+    the bits they have in a large gemm (see ``padded_gemm``).
+    """
+    n = len(rows)
+    target = max(-(-n // multiple) * multiple, 40)
+    if n == 0 or n == target:
+        return rows
+    out = np.empty((target, *rows.shape[1:]), dtype=rows.dtype)   # C order, as gathered rows
+    out[:n], out[n:] = rows, rows[:1]
+    return out
+
+
+def padded_gemm(a: Array, b: Array) -> Array:
+    """``a @ b.T`` for gathered rows, each entry bit for bit that of a full-tile gemm.
+
+    ``a`` (Q, K) is padded by ``pad_rows`` to a multiple of 4 and ``b``
+    (k, K) to a multiple of 8, and the padding is cut off the product. On
+    OpenBLAS 0.3.31 every entry then equals the same entry of a 256 x 2048
+    gemm, for Q up to 256, k up to 1000 and K in {8, 32, 128, 512}
+    (``tests/test_numerics.py`` pins this); floors of 32 or less do not.
+    """
+    return (pad_rows(a, 4) @ pad_rows(b, 8).T)[:len(a), :len(b)]
 
 
 def softmax_rows(x: Array) -> Array:

@@ -307,6 +307,10 @@ def train(triplets, corpus, config: TrainConfig,
                 params, state = adamw_step(params, grads, state, lr, config)
             except (NearZeroNorm, NonFiniteGradient) as exc:
                 raise _step_error(exc, params, epoch, step) from exc
+            # Released now rather than at the next step's assignment, so no
+            # parameter-sized gradient outlives its update: not through the
+            # next backward, nor through the epoch's monitor eval.
+            del grads
             losses.append(loss)
         if not losses:
             raise EmptySplit(f"train split yields no usable minibatch of size >= 2 "

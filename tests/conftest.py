@@ -1,3 +1,5 @@
+import json
+import os
 import struct
 import tracemalloc
 
@@ -59,6 +61,15 @@ def refuse_matrix64(monkeypatch) -> None:
         raise AssertionError(f"matrix64 was called on a bank of {bank.n} rows")
 
     monkeypatch.setattr(FeatureBank, "matrix64", matrix64)
+
+
+def blas_config() -> str:
+    """numpy's BLAS build, CPU features and CPU count: the context a failed
+    bit-level test needs, since the bits follow the BLAS kernel chosen."""
+    config = np.show_config(mode="dicts")
+    return json.dumps({"numpy": np.__version__, "cpus": os.cpu_count(),
+                       "blas": config["Build Dependencies"]["blas"],
+                       "simd": config["SIMD Extensions"]}, sort_keys=True)
 
 
 def traced_peak(fn):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -292,6 +293,75 @@ def test_evaluate_block_size_value_agreement():
                                [[e["score"] for e in top] for top in top_b], atol=1e-10)
 
 
+@pytest.mark.parametrize("flavor", list(Flavor), ids=[f.value for f in Flavor])
+def test_outputs_do_not_depend_on_block_size_or_workers(tmp_path, flavor):
+    """Dump bytes, metrics JSON and subset ranks over a gallery of three
+    tiles are the same at every block size and worker count."""
+    n_queries, dim = 20, 8
+    corpus = make_corpus(n_queries, 2 * head.SCORE_TILE + 5, dim, seed=12)
+    queries = simple_queries(corpus, np.random.default_rng(12), subset_size=6)
+    params = init_params(HeadDims(dim, dim, dim), seed=12)
+    seen = set()
+    for block_size in (1, 3, 7, 256):
+        for workers in (1, 2):
+            dump = tmp_path / f"{block_size}-{workers}.jsonl"
+            report = evaluate(queries, corpus, params, flavor, block_size=block_size,
+                              workers=workers, dump_path=dump, dump_top_k=10)
+            subsets = rank_queries(queries, corpus, params, flavor, block_size,
+                                   workers).subset_ranks
+            seen.add((dump.read_bytes(), report.to_json(), tuple(subsets.tolist())))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("flavor", list(Flavor), ids=[f.value for f in Flavor])
+def test_exclude_ref_in_a_later_tile_within_the_band_and_the_top_k(flavor):
+    """Each query's reference is a gallery row in the last tile with the
+    same embedding as its ground truth, in the first tile: the two score
+    alike, so the reference sits within the ground truth's screen band and
+    in its top k, with a lower id. Excluding it matches the sort oracle on
+    the float64 scores: ranks, subset ranks and dump lines."""
+    n_queries, dim = 48, 8
+    n_gallery = 2 * head.SCORE_TILE + 48   # tiles of multiples of 8 columns
+    rng = np.random.default_rng(13)
+    targets = unit_rows(rng, n_gallery, dim).astype(np.float32)
+    gallery_ids = [f"t{i:05d}" for i in range(n_gallery)]
+    truth_cols = list(range(n_queries))
+    ref_cols = list(range(n_gallery - n_queries, n_gallery))
+    for i in range(n_queries):
+        targets[ref_cols[i]] = targets[truth_cols[i]]
+        gallery_ids[ref_cols[i]] = f"a{i:05d}"   # orders before its ground truth
+    corpus = Corpus(refs=FeatureBank(ids=[gallery_ids[c] for c in ref_cols],
+                                     data=targets[ref_cols]),
+                    mods=FeatureBank(ids=[f"m{i}" for i in range(n_queries)],
+                                     data=unit_rows(rng, n_queries, dim).astype(np.float32)),
+                    targets=FeatureBank(ids=gallery_ids, data=targets))
+    queries = [QuerySpec(ref_id=gallery_ids[ref_cols[i]], mod_id=f"m{i}",
+                         ground_truth=(gallery_ids[truth_cols[i]],),
+                         subset_members=tuple(gallery_ids[c] for c in
+                                              (truth_cols[i], ref_cols[i], 100 + i, 2100 + i)),
+                         exclude_ref=True)
+               for i in range(n_queries)]
+    params = init_params(HeadDims(dim, dim, dim), seed=13)
+    scores = full_scores(queries, corpus, params, flavor)
+    margin = head.screen_margin(dim)
+    rows = np.arange(n_queries)
+    assert np.all(np.abs(scores[rows, ref_cols] - scores[rows, truth_cols]) <= margin)
+    got = rank_queries(queries, corpus, params, flavor, dump_top_k=10)
+    for i, (q, line) in enumerate(zip(queries, got.dump_lines)):
+        expected = rank_targets(scores[i], q, gallery_ids)
+        assert got.ranks[i] == expected.rank
+        assert got.subset_ranks[i] == oracle_rank(scores[i], q, gallery_ids,
+                                                  q.subset_members).rank
+        unexcluded = rank_targets(scores[i], replace(q, exclude_ref=False), gallery_ids)
+        if unexcluded.ordering.index(q.ref_id) < 10:   # the reference was in the top k
+            assert q.ref_id not in [e["id"] for e in json.loads(line)["top"]]
+        assert line == json.dumps({
+            "query": i, "ref": q.ref_id, "mod": q.mod_id, "rank": expected.rank,
+            "top": [{"id": g, "score": float(scores[i, corpus.targets.row_of(g)])}
+                    for g in expected.ordering[:10]],
+        }, sort_keys=True)
+
+
 def test_evaluate_dump_lines(tmp_path):
     corpus = make_corpus(6, 15, 6, seed=7)
     rng = np.random.default_rng(7)
@@ -331,20 +401,24 @@ def test_evaluate_normalizes_gallery_rows_only_in_prepare_gallery(tmp_path, monk
     assert (tmp_path / "b.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
 
 
-def test_one_block_evaluate_builds_no_float64_gallery_copy():
-    """Queries that fit one block score a float32 gallery's raw rows and norms,
-    so the call's peak stays under one G x D float64 array; a two-block call
-    still prepares the unit rows once, and both report the same metrics."""
-    n_queries, n_gallery, dim = 8, 20000, 128
+@pytest.mark.parametrize("block_size", [64, 32], ids=["one-block", "two-blocks"])
+def test_evaluate_holds_no_float64_gallery_or_score_block(block_size):
+    """Ranking reads the float32 bank rows and their norms tile by tile, so a
+    call's peak stays below half a float64 gallery (G x D x 4 bytes, the
+    bank's own size) and below one block's float64 scores (Q x G x 8
+    bytes): it holds neither a copy of the gallery in any dtype nor a
+    (Q, G) float64 block. Either call prepares the gallery once, and both
+    report the same metrics."""
+    n_queries, n_gallery, dim = 64, 40000, 64
     corpus = make_corpus(n_queries, n_gallery, dim, seed=9)
     queries = simple_queries(corpus, np.random.default_rng(9))
     params = init_params(HeadDims(dim, dim, dim), seed=4)
-    one, peak = traced_peak(lambda: evaluate(queries, corpus, params, Flavor.ARTEMIS))
-    assert peak < n_gallery * dim * 8
     with mock.patch.object(head, "prepare_gallery", wraps=head.prepare_gallery) as prepare:
-        two = evaluate(queries, corpus, params, Flavor.ARTEMIS, block_size=n_queries // 2)
-    assert prepare.call_count == 1 and prepare.call_args.kwargs == {"one_pass": False}
-    assert two.to_json() == one.to_json()
+        report, peak = traced_peak(lambda: evaluate(queries, corpus, params, Flavor.ARTEMIS,
+                                                    block_size=block_size))
+    assert prepare.call_count == 1
+    assert peak < min(n_gallery * dim * 4, block_size * n_gallery * 8)
+    assert report.to_json() == evaluate(queries, corpus, params, Flavor.ARTEMIS).to_json()
 
 
 @pytest.mark.parametrize("block_size", [8, 3], ids=["one-block", "three-blocks"])
@@ -369,13 +443,37 @@ def test_evaluate_empty_queries():
 
 # -- the streaming ranker against the sort oracle -----------------------------------------
 
-def fixed_scores(scores: np.ndarray, ref_ids: list[str], gallery_ids: list[str]):
-    """A corpus plus a stand-in for pairwise_scores that returns ``scores``.
+class FixedScores:
+    """A stand-in for ``evaluation.BlockScores`` over the exact scores of a block.
+
+    A screened tile is the exact scores offset by ``offsets`` (entries
+    +margin, -margin or 0), the widest screen the ranker must accept; a
+    non-finite exact score keeps its value, and unscreened tiles are exact.
+    """
+
+    def __init__(self, exact: np.ndarray, offsets: np.ndarray, margin: float):
+        self.scores, self.offsets, self.margin = exact, offsets, margin
+
+    def tile(self, lo, hi, screened):
+        exact = self.scores[:, lo:hi]
+        if not screened:
+            return exact.copy()
+        return np.where(np.isfinite(exact), exact + self.offsets[:, lo:hi], exact)
+
+    def exact(self, rows, cols):
+        return self.scores[rows, cols]
+
+
+def fixed_scores(scores: np.ndarray, ref_ids: list[str], gallery_ids: list[str],
+                 offsets: np.ndarray | None = None, margin: float = 0.0):
+    """A corpus plus a stand-in for ``evaluation.block_scores`` that scores
+    from ``scores`` with screens ``scores + offsets``.
 
     Reference row i is (1, i), so the stand-in reads each block's query
     indices back from the normalized rows it is given.
     """
     n_queries, n_gallery = scores.shape
+    offsets = np.zeros_like(scores) if offsets is None else offsets
     rng = np.random.default_rng(0)
     corpus = Corpus(
         refs=FeatureBank(ids=ref_ids, data=np.array([[1.0, i] for i in range(n_queries)],
@@ -387,9 +485,10 @@ def fixed_scores(scores: np.ndarray, ref_ids: list[str], gallery_ids: list[str])
     )
 
     def stand_in(r_rows, m_rows, gallery, params, flavor):
-        return scores[np.rint(r_rows[:, 1] / r_rows[:, 0]).astype(int)]
+        rows = np.rint(r_rows[:, 1] / r_rows[:, 0]).astype(int)
+        return FixedScores(scores[rows], offsets[rows], margin)
 
-    return corpus, mock.patch.object(evaluation, "pairwise_scores", stand_in)
+    return corpus, mock.patch.object(evaluation, "block_scores", stand_in)
 
 
 def oracle_rank(row, query: QuerySpec, gallery_ids: list[str], members=None) -> RankResult:
@@ -440,8 +539,14 @@ def test_streaming_ranker_matches_sort_oracle(data):
     top_k = data.draw(st.integers(0, n_gallery + 2), label="top_k")
     block_size = data.draw(st.sampled_from([1, 3, n_queries + 5]), label="block_size")
     workers = data.draw(st.sampled_from([1, 2]), label="workers")
+    # Screens off by exactly +-margin or 0: a margin of 0.5 puts most of the
+    # value pool within one band, the production one mostly ties.
+    margin = data.draw(st.sampled_from([head.screen_margin(2), 0.5]), label="margin")
+    offsets = margin * np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=n_gallery, max_size=n_gallery),
+        min_size=n_queries, max_size=n_queries), label="offsets"), dtype=np.float64)
 
-    corpus, patched = fixed_scores(scores, ref_ids, gallery_ids)
+    corpus, patched = fixed_scores(scores, ref_ids, gallery_ids, offsets, margin)
     params = init_params(HeadDims(2, 2, 2), seed=0)
     try:
         expected = [oracle_rank(scores[i], q, gallery_ids) for i, q in enumerate(queries)]

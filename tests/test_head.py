@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emis.autodiff import Tape, node
 from emis.errors import (BadMagic, ConfigError, DataError, NearZeroNorm, NonFiniteData,
@@ -13,6 +15,7 @@ from emis.head import (
     SCORE_TILE,
     Flavor,
     HeadDims,
+    QueryState,
     block_shapes,
     encode_queries,
     gradients_of,
@@ -26,12 +29,13 @@ from emis.head import (
     prepare_gallery,
     save_checkpoint,
     scores_from_state,
+    screen_margin,
     vector_to_params,
 )
-from emis.numerics import NORM_ROWS, finite_diff_check
+from emis.numerics import NORM_ROWS, finite_diff_check, softmax_rows
 
-from conftest import (assert_one_flat_buffer, corruptions, one_hot_attention_params,
-                      oracle_from_params, traced_peak, unit_rows)
+from conftest import (assert_one_flat_buffer, blas_config, corruptions,
+                      one_hot_attention_params, oracle_from_params, traced_peak, unit_rows)
 
 FLAVORS = list(Flavor)
 
@@ -226,9 +230,11 @@ def test_prepare_gallery_takes_float32_rows_and_leaves_them_alone(flavor):
     kept32, kept64 = rows32.copy(), rows64.copy()
     from32, from64 = prepare_gallery(rows32, dims, flavor), prepare_gallery(rows64, dims, flavor)
     assert np.array_equal(rows32, kept32) and np.array_equal(rows64, kept64)
-    assert from32.tn.dtype == np.float64
-    assert np.array_equal(from32.tn, from64.tn)
-    assert np.array_equal(from32.tn, rows64 / np.linalg.norm(rows64, axis=1, keepdims=True))
+    assert from32.tn is rows32 and from32.norms.dtype == np.float64
+    unit = from32.unit_rows(slice(None))
+    assert unit.dtype == np.float64
+    assert np.array_equal(unit, from64.unit_rows(slice(None)))
+    assert np.array_equal(unit, rows64 / np.linalg.norm(rows64, axis=1, keepdims=True))
     r_rows = 2.0 * rows64[:4]
     kept = r_rows.copy()
     encode_queries(r_rows, r_rows, init_params(dims, seed=3), Flavor.IMAGE_ONLY)
@@ -242,12 +248,9 @@ def test_pairwise_accepts_prepared_gallery(flavor):
     params = init_params(dims, seed=7)
     r_rows, m_rows, t_rows = _toy_batch(dims, 4, 9, seed=7)
     gallery = prepare_gallery(t_rows, dims, flavor)
-    one_pass = prepare_gallery(t_rows, dims, flavor, one_pass=True)
-    assert (one_pass.norms is None) == (flavor not in ATTENTION_FLAVORS)
     for scored in FLAVORS:
         fresh = pairwise_scores(r_rows, m_rows, t_rows, params, scored)
         assert np.array_equal(pairwise_scores(r_rows, m_rows, gallery, params, scored), fresh)
-        assert np.array_equal(pairwise_scores(r_rows, m_rows, one_pass, params, scored), fresh)
     narrow = prepare_gallery(t_rows[:, :5], HeadDims(8, 5, 8), flavor)
     with pytest.raises(ShapeMismatch):
         pairwise_scores(r_rows, m_rows, narrow, params, flavor)
@@ -342,7 +345,7 @@ def test_tape_gradients_match_finite_differences_over_several_tiles(flavor):
 
 @pytest.mark.parametrize("flavor", ATTENTION_FLAVORS, ids=[f.value for f in ATTENTION_FLAVORS])
 def test_pair_norm_guard_fires_in_the_last_tile(flavor):
-    """Over unit rows, and over raw rows and norms (a one-pass gallery)."""
+    """In float64, and in float32, where it fires at 2 * NORM_EPS."""
     dim = 8
     params = one_hot_attention_params(dim)
     rng = np.random.default_rng(5)
@@ -351,37 +354,38 @@ def test_pair_norm_guard_fires_in_the_last_tile(flavor):
     state = encode_queries(rng.standard_normal((3, dim)), np.eye(dim)[[2, 3, 0]],
                            params, flavor)
     good = np.abs(rng.standard_normal((2 * SCORE_TILE + 5, dim))) + 0.1
-    for one_pass in (False, True):
-        gallery = prepare_gallery(t_rows, params.dims, flavor, one_pass=one_pass)
-        assert (gallery.norms is not None) == one_pass
+    for scored in (state, state.astype(np.float32)):
+        gallery = prepare_gallery(t_rows, params.dims, flavor)
         with pytest.raises(NearZeroNorm,
                            match="attention-weighted candidate has norm 0.0") as err:
-            scores_from_state(state, gallery)
+            scores_from_state(scored, gallery)
         assert err.value.row == 2
-        gallery = prepare_gallery(good.copy(), params.dims, flavor, one_pass=one_pass)
-        scores_from_state(state, gallery)
+        gallery = prepare_gallery(good.copy(), params.dims, flavor)
+        scores_from_state(scored, gallery)
         gallery.tn[-1, 4] = np.nan
         with pytest.raises(NearZeroNorm, match="nan") as err:
-            scores_from_state(state, gallery)
+            scores_from_state(scored, gallery)
         assert err.value.row == 0
 
 
 def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
-    """Scoring holds the (Q, G) result and three tile buffers: squares, norms,
-    dots; a gallery of raw rows and norms adds one for the tile's unit rows."""
+    """Scoring holds the (Q, G) result and four tile buffers: unit rows,
+    squares, norms, dots, all in the channels' dtype."""
     dims = HeadDims(8, 8, 8)
     params = init_params(dims, seed=3)
     r_rows, m_rows, t_rows = _toy_batch(dims, 64, 8 * SCORE_TILE + 5, seed=3)
     state = encode_queries(r_rows, m_rows, params, Flavor.ARTEMIS)
-    for one_pass in (False, True):
-        gallery = prepare_gallery(t_rows.astype(np.float32), dims, Flavor.ARTEMIS, one_pass)
-        scores, peak = traced_peak(lambda: scores_from_state(state, gallery))
-        q, g = scores.shape
-        tiles = 2 * q * SCORE_TILE * 8 + (1 + one_pass) * SCORE_TILE * dims.h_i * 8
+    gallery = prepare_gallery(t_rows.astype(np.float32), dims, Flavor.ARTEMIS)
+    for scored in (state, state.astype(np.float32)):
+        scores, peak = traced_peak(lambda: scores_from_state(scored, gallery))
+        (q, g), size = scores.shape, scores.itemsize
+        tiles = 2 * q * SCORE_TILE * size + 2 * SCORE_TILE * dims.h_i * size
         # Writing a tile into the result's strided columns makes numpy's ufunc
-        # iterator buffer two operands (getbufsize() values each); the rest is
-        # views and other small objects.
-        assert peak <= q * g * 8 + tiles + 2 * 8 * np.getbufsize() + 16 * 1024
+        # iterator buffer two operands (getbufsize() values each), and in
+        # float32 so does dividing float32 rows by float64 norms into float32
+        # unit rows; the rest is views and other small objects.
+        buffers = (2 if size == 8 else 4) * 8 * np.getbufsize()
+        assert peak <= q * g * size + tiles + buffers + 16 * 1024
 
 
 def whole_gallery_scores(channels, tn):
@@ -409,29 +413,75 @@ def test_tiled_scores_equal_channel_scores(flavor, n_queries, n_rows):
     r_rows, m_rows, t_rows = _toy_batch(dims, n_queries, n_rows, seed=n_rows)
     state = encode_queries(r_rows, m_rows, params, flavor)
     gallery = prepare_gallery(t_rows, dims, flavor)
-    tn = gallery.tn
+    tn = gallery.unit_rows(slice(None))
     got = scores_from_state(state, gallery)
     tiles = [whole_gallery_scores(state.channels, tn[lo:lo + SCORE_TILE])
              for lo in range(0, n_rows, SCORE_TILE)]
     assert np.array_equal(got, np.concatenate(tiles, axis=1))
     whole = whole_gallery_scores(state.channels, tn)
     np.testing.assert_allclose(got, whole, rtol=0, atol=4 * np.finfo(np.float64).eps)
-    # Raw float32 rows and their norms score as their materialized unit rows.
-    raw = t_rows.astype(np.float32)
-    one_pass = prepare_gallery(raw, dims, flavor, one_pass=True)
-    assert one_pass.tn is raw and one_pass.norms.dtype == np.float64
-    assert np.array_equal(scores_from_state(state, one_pass),
-                          scores_from_state(state, prepare_gallery(raw, dims, flavor)))
+    # Float32 channels, ranking's screen, score within its margin.
+    screen = scores_from_state(state.astype(np.float32), gallery)
+    assert screen.dtype == np.float32
+    assert np.all(np.abs(screen - got) <= screen_margin(dims.h_i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_float32_screen_is_within_its_margin_on_adversarial_channels(data):
+    """|float32 score - float64 score| <= screen_margin(K) for every pair the
+    float32 guard passes: near-cancelling dots, one-hot attention, and
+    peaked attention whose other weights (and their squares) fall below
+    float32's normal range or to 0 in it."""
+    width = data.draw(st.sampled_from([2, 8, 512]), label="K")
+    n_queries, n_rows = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 24))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    t_rows = rng.standard_normal((n_rows, width))
+
+    def attention():
+        kind = data.draw(st.sampled_from(["dense", "one-hot", "peaked"]), label="attention")
+        if kind == "dense":
+            return softmax_rows(data.draw(st.sampled_from([0.1, 3.0, 30.0]))
+                                * rng.standard_normal((n_queries, width)))
+        a = np.zeros((n_queries, width)) if kind == "one-hot" else np.full(
+            (n_queries, width), data.draw(st.sampled_from([1e-20, 1e-30, 1e-39, 1e-44, 1e-300])))
+        a[np.arange(n_queries), rng.integers(0, width, n_queries)] = 1.0
+        return a
+
+    channels = []
+    if data.draw(st.booleans(), label="ungated"):
+        channels.append((unit_rows(rng, n_queries, width), None))
+    else:
+        for _ in range(data.draw(st.integers(1, 2), label="channels")):
+            u, a = rng.standard_normal((n_queries, width)), attention()
+            channels.append(((u * a) / np.linalg.norm(u, axis=1, keepdims=True), a * a))
+    if data.draw(st.booleans(), label="near-cancelling"):
+        # Take the first query's first x out of every other gallery row, so
+        # their dot products cancel to rounding noise over large terms.
+        x = channels[0][0][0]
+        if x @ x > 0:
+            t_rows[::2] -= np.outer(t_rows[::2] @ x / (x @ x), x)
+            t_rows[::2] += 1e-9 * rng.standard_normal(t_rows[::2].shape)
+    state = QueryState(Flavor.ARTEMIS, n_queries, channels)
+    gallery = prepare_gallery(t_rows, HeadDims(width, width, 1), Flavor.ARTEMIS)
+    try:
+        screen = scores_from_state(state.astype(np.float32), gallery)
+    except NearZeroNorm:
+        return   # a pair the screen leaves to float64; ranking reruns the block
+    exact = scores_from_state(state, gallery)
+    worst = float(np.max(np.abs(screen.astype(np.float64) - exact)))
+    assert worst <= screen_margin(width), f"{worst!r} at K = {width}; {blas_config()}"
 
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
 def test_gallery_peak_memory_is_one_float64_copy_plus_chunks(flavor):
-    """Normalizing a float32 bank builds no second bank-sized array, for any flavor."""
+    """Preparing a float32 bank builds no bank-sized array, for any flavor:
+    its norms and the norm loop's float64 chunks."""
     n, dim = 4 * NORM_ROWS + 5, 64
     t_rows = np.random.default_rng(5).standard_normal((n, dim)).astype(np.float32)
     gallery, peak = traced_peak(lambda: prepare_gallery(t_rows, HeadDims(dim, dim, dim), flavor))
-    assert gallery.tn.shape == (n, dim)
-    assert peak <= n * dim * 8 + n * 8 + 2 * NORM_ROWS * dim * 8
+    assert gallery.tn is t_rows
+    assert peak <= n * 8 + 2 * NORM_ROWS * dim * 8 + 64 * 1024
 
 
 def test_width_guards():

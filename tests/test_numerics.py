@@ -7,11 +7,11 @@ from hypothesis.extra.numpy import arrays
 from emis.errors import NearZeroNorm, NonFiniteGradient, ShapeMismatch
 from emis.head import (ATTENTION_FLAVORS, AttentionParams, Flavor, HeadDims, attention_rows,
                        init_params, pairwise_scores, prepare_gallery)
-from emis.numerics import (NORM_ROWS, finite_diff_check, normalize_rows, row_norms,
-                           softmax_rows)
+from emis.numerics import (NORM_ROWS, finite_diff_check, normalize_rows, pad_rows, padded_gemm,
+                           row_norms, softmax_rows)
 
 import scalar_oracle
-from conftest import oracle_from_params
+from conftest import blas_config, oracle_from_params
 
 finite_vecs = arrays(np.float64, st.integers(1, 12),
                      elements=st.floats(-50, 50, allow_nan=False))
@@ -21,7 +21,44 @@ def unit_gallery_row(v) -> np.ndarray:
     """One row through the head's L2 normalization (the gallery prepare step)."""
     v = np.asarray(v, dtype=np.float64)
     dims = HeadDims(v.size, v.size, 1)
-    return prepare_gallery(v[None, :], dims, Flavor.IMAGE_ONLY).tn[0]
+    return prepare_gallery(v[None, :], dims, Flavor.IMAGE_ONLY).unit_rows(slice(None))[0]
+
+
+# -- the padded gemm ---------------------------------------------------------------
+
+FULL_TILES = {}   # K -> (A, B, A @ B.T): 256 query rows against a 2048-row tile
+
+
+def full_tile(width: int):
+    if width not in FULL_TILES:
+        rng = np.random.default_rng(width)
+        a, b = rng.standard_normal((256, width)), rng.standard_normal((2048, width))
+        FULL_TILES[width] = a, b, a @ b.T
+    return FULL_TILES[width]
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.integers(1, 256), k=st.integers(1, 1000), width=st.sampled_from([8, 32, 128, 512]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_padded_gemm_of_gathered_rows_has_the_full_tiles_bits(q, k, width, seed):
+    """The padding rule that exact pair scores rest on: any Q x k gather of
+    rows, padded, multiplies to the bits of the same entries of the full
+    256 x 2048 product. A BLAS that breaks the rule fails here, naming itself."""
+    a, b, full = full_tile(width)
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.choice(256, q, replace=False), rng.choice(2048, k, replace=False)
+    got = padded_gemm(a[rows], b[cols])
+    moved = int((got != full[np.ix_(rows, cols)]).sum())
+    assert moved == 0, f"{moved} of {q} x {k} entries moved at K = {width}; {blas_config()}"
+
+
+def test_pad_rows_appends_copies_of_the_first_row_in_c_order():
+    rows = np.arange(12.0).reshape(3, 4)
+    padded = pad_rows(rows, 4)
+    assert padded.shape == (40, 4) and padded.flags.c_contiguous
+    assert np.array_equal(padded[:3], rows) and np.all(padded[3:] == rows[0])
+    assert pad_rows(padded, 4) is padded and pad_rows(rows[:0], 8).shape == (0, 4)
+    assert pad_rows(np.ones((41, 2)), 8).shape == (48, 2)
 
 
 # -- l2 normalization -------------------------------------------------------------
