@@ -19,10 +19,10 @@ get exact scores, from ``head.pair_scores``, and are compared by
 The top-k dump keeps each tile's candidates within 2m of a lower bound
 on the row's k-th best screen value, then orders the survivors by exact
 score. So ranks, dumps and metrics are those of float64 ranking, and no
-float32 value reaches them; no (Q, G) score block is held. A block with
-a pair the screen cannot vouch for (a NaN, or a float32 pair norm at or
-below 2 NORM_EPS) is ranked again from float64 tiles with m = 0, which
-raise the error, if any, as the float64 scoring always has. A NaN score
+float32 value reaches them; no (Q, G) score block is held. A tile whose
+float32 pair-norm guard fires (a pair norm at or below 2 NORM_EPS) is
+scored in float64 instead, under the same m, and its float64 guard
+raises the error, if any, as the float64 scoring always has. A NaN score
 is an error, never a rank; +-inf scores rank like any other value.
 Reports round to two decimals (half-up) only at emission; internal math
 keeps full precision.
@@ -243,12 +243,14 @@ def _per_row(rows: Array, n_rows: int) -> Array:
 class BlockScores:
     """One query block's scores against the prepared gallery, as ranking reads them.
 
-    ``tile(lo, hi, screened)`` scores gallery columns [lo, hi) into a fresh
-    array the caller may write: in float32 when ``screened``, each score
-    within ``margin`` of its float64 score, else the float64 scores.
-    ``exact(rows, cols)`` gives the float64 scores of those pairs, with the
-    bits of the float64 tiles. A NaN float64 score is NaN in float32 too,
-    and a finite one, a sum of at most two cosines, is finite in both.
+    ``tile(lo, hi)`` scores gallery columns [lo, hi) into a fresh array
+    the caller may write, each score within ``margin`` of its exact one:
+    the float32 screen, or, where the screen's pair-norm guard fires, the
+    float64 scores, which differ from ``exact``'s only in summation order
+    (see ``head.screen_margin``). ``exact(rows, cols)`` gives the float64
+    scores of those pairs, with the bits of the float64 tiles at full
+    shapes. A NaN float64 score is NaN in float32 too, and a finite one, a
+    sum of at most two cosines, is finite in both.
     """
 
     def __init__(self, state: head.QueryState, gallery: head.GalleryState):
@@ -256,9 +258,12 @@ class BlockScores:
         self.screen = state.astype(np.float32)
         self.margin = head.screen_margin(gallery.tn.shape[1])
 
-    def tile(self, lo: int, hi: int, screened: bool) -> Array:
-        state = self.screen if screened else self.state
-        return head.scores_from_state(state, self.gallery.rows(lo, hi))
+    def tile(self, lo: int, hi: int) -> Array:
+        rows = self.gallery.rows(lo, hi)
+        try:
+            return head.scores_from_state(self.screen, rows)
+        except NearZeroNorm:
+            return head.scores_from_state(self.state, rows)
 
     def exact(self, rows: Array, cols: Array) -> Array:
         return head.pair_scores(self.state, self.gallery, rows, cols)
@@ -410,20 +415,18 @@ def _raise_nan(start: int, chunk: Sequence[QuerySpec], rows: Array) -> None:
                                 "has a NaN score")
 
 
-def _rank_block(scores: BlockScores, screened: bool, n_gallery: int, id_rank: Array,
-                targets: _Targets, dump_top_k: int | None, start: int,
-                chunk: Sequence[QuerySpec]):
+def _rank_block(scores: BlockScores, n_gallery: int, id_rank: Array, targets: _Targets,
+                dump_top_k: int | None, start: int, chunk: Sequence[QuerySpec]):
     """Ranks, subset ranks and dump columns of one block, tile by tile.
 
-    Screened, each comparison with a query's exact first-ground-truth score
-    s is decided on the float32 tile wherever it falls outside s +- margin;
-    the rest are settled on exact scores. Unscreened, the tiles hold the
-    float64 scores and the margin is 0, so only ties are looked up. A NaN
-    score raises NonFiniteGradient once every tile is scored, so the
-    tiles' pair-norm guard fires first, as over a whole block.
+    Each comparison with a query's exact first-ground-truth score s is
+    decided on the tile wherever it falls outside s +- margin, in the
+    tile's dtype; the rest are settled on exact scores. A NaN score raises
+    NonFiniteGradient once every tile is scored, so the tiles' pair-norm
+    guard fires first, as over a whole block.
     """
     q = len(chunk)
-    margin = scores.margin if screened else 0.0
+    margin = scores.margin
     excluded = targets.excluded
     truth_rows = np.repeat(np.arange(q), [len(c) for c in targets.truths])
     truth_cols = np.concatenate(targets.truths)
@@ -456,7 +459,7 @@ def _rank_block(scores: BlockScores, screened: bool, n_gallery: int, id_rank: Ar
     nan_rows = np.zeros(q, dtype=bool)
     for lo in range(0, n_gallery, head.SCORE_TILE):
         hi = min(lo + head.SCORE_TILE, n_gallery)
-        tile = scores.tile(lo, hi, screened)
+        tile = scores.tile(lo, hi)
         if np.isnan(tile.max()):
             nan_rows |= np.isnan(tile).any(axis=1)
         here = with_x[(excluded[with_x] >= lo) & (excluded[with_x] < hi)]
@@ -493,7 +496,8 @@ def _rank_block(scores: BlockScores, screened: bool, n_gallery: int, id_rank: Ar
         groups.append(top.survivors(excluded))
     rows = np.concatenate([g[0] for g in groups])
     exact = scores.exact(rows, np.concatenate([g[1] for g in groups]))
-    # A NaN here means the screen vouched for nothing: the caller ranks unscreened.
+    # The tiles were NaN-free, so these pairs should be too; one that is not
+    # is still an error, never a rank.
     _raise_nan(start, chunk, np.concatenate([rows[np.isnan(exact)],
                                              truth_rows[np.isnan(truth_vals)]]))
     exact = np.split(exact, np.cumsum([len(g[0]) for g in groups])[:-1])
@@ -568,26 +572,16 @@ def rank_queries(queries: Sequence[QuerySpec], corpus, params: HeadParams, flavo
     def eval_block(lo: int, hi: int):
         chunk = queries[lo:hi]
         targets = _block_targets(chunk, index, with_subsets)
-
-        def rank(scores, screened):
-            return _rank_block(scores, screened, n_gallery, id_rank, targets, dump_top_k,
-                               lo, chunk)
-
         try:
             scores = block_scores(normalize_rows(corpus.refs.data[ref_rows[lo:hi]]),
                                   normalize_rows(corpus.mods.data[mod_rows[lo:hi]]),
                                   gallery, params, flavor)
-            try:
-                ranked = rank(scores, True)
-            except (NearZeroNorm, NonFiniteGradient):
-                # A pair the float32 screen cannot vouch for: rank the block
-                # on float64 tiles, which raise the error if there is one.
-                ranked = rank(scores, False)
+            ranks, subset, dump = _rank_block(scores, n_gallery, id_rank, targets, dump_top_k,
+                                              lo, chunk)
         except NearZeroNorm as exc:
             raise_zero_norm_row(corpus, queries, lo, refs=ref_rows[lo:hi], mods=mod_rows[lo:hi])
             q = queries[lo + exc.row]
             raise NearZeroNorm(f"query {lo + exc.row} ({q.ref_id}, {q.mod_id}): {exc}") from None
-        ranks, subset, dump = ranked
         lines = [] if dump is None else _dump_lines(lo, chunk, ranks, gallery_ids, *dump)
         return ranks, subset, lines
 

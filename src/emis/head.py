@@ -15,9 +15,10 @@ cos(u, a * t), so a query is a list of channels that scoring sums without
 asking which flavor built them. ``scores_from_state`` holds the one
 kernel: ``SCORE_TILE`` gallery rows at a time, with the pair-norm guard
 per tile, in the dtype of the query channels. Ranking screens every pair
-in float32 and asks ``pair_scores`` for the float64 scores of the few
-pairs the screen's error bound, ``screen_margin``, cannot decide; those
-have the bits the float64 tiles give.
+in float32 (a tile whose float32 guard fires, in float64) and asks
+``pair_scores`` for the float64 scores of the few pairs the error bound,
+``screen_margin``, cannot decide; those have the bits the float64 tiles
+give at full shapes.
 
 Each formula (an attention MLP, a channel's query u, its x and sq, the
 channel sum) is written once in plain numpy. On tape parameters it
@@ -73,6 +74,12 @@ def screen_margin(width: int) -> float:
     within (3K + 18) u, an ungated score within gamma_{K+3}; the margin
     4 (K + 8) u covers both, and attention weights that underflow in
     float32 move a decided score (pair norm > 2 NORM_EPS) by < 1e-20.
+
+    The margin also covers a float64 tile, which ranking scores where the
+    float32 guard fires: its entries and ``pair_scores``' values are two
+    float64 evaluations of one formula in different summation orders, so
+    the same analysis at u = 2^-53 puts them within 2 (3K + 18) 2^-53 of
+    each other (3.5e-13 at K = 512).
     """
     return 4.0 * (width + 8) * 2.0 ** -24
 
@@ -479,26 +486,17 @@ def pair_scores(queries: QueryState, gallery: GalleryState, rows, cols) -> Array
     return out
 
 
-def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array | GalleryState,
-                    params: HeadParams, flavor: Flavor):
+def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array, params: HeadParams,
+                    flavor: Flavor):
     """Scores for every (query, candidate) pair: queries x candidates.
 
     Query-side quantities (attention vectors, projection, query norms)
     are computed once per query and reused across all candidates.
     Inputs are plain float64 arrays; parameters may be tape Vars, in
-    which case the result participates in backprop. ``t_rows`` is
-    either the candidate rows or a ``GalleryState`` from
-    ``prepare_gallery``, so a caller that scores many query blocks
-    against one gallery prepares it once.
+    which case the result participates in backprop.
     """
     state = encode_queries(r_rows, m_rows, params, flavor)
-    if isinstance(t_rows, GalleryState):
-        gallery = t_rows
-    else:
-        gallery = prepare_gallery(t_rows, params.dims, flavor)
-    if gallery.tn.shape[1] != params.dims.h_i:
-        raise ShapeMismatch(f"candidate width {gallery.tn.shape[1]} vs h_i {params.dims.h_i}")
-    return scores_from_state(state, gallery)
+    return scores_from_state(state, prepare_gallery(t_rows, params.dims, flavor))
 
 
 # -- the flat layout -------------------------------------------------------------

@@ -708,6 +708,37 @@ def test_eval_names_the_query_of_a_zero_pair_norm_in_the_last_tile(tmp_path, cap
     assert out == ""
 
 
+@pytest.mark.parametrize("flavor", ["em_only", "artemis"])
+def test_eval_names_the_query_of_a_nan_score(tmp_path, capsys, flavor):
+    """A finite checkpoint whose projection overflows query 1's u to +inf
+    (four terms of 0.5 x 1e308) and no other query's: its x is inf / inf,
+    so its every score is NaN, in float32 and float64 alike."""
+    dim, n_gallery = 8, 50
+    rng = np.random.default_rng(0)
+    mods = np.eye(dim)[[4, 5, 6]]
+    mods[1] = [1.0] * 4 + [0.0] * (dim - 4)
+    ids = {"refs": [f"r{i}" for i in range(3)], "mods": [f"m{i}" for i in range(3)],
+           "targets": [f"t{i:05d}" for i in range(n_gallery)]}
+    rows = {"refs": rng.standard_normal((3, dim)), "mods": mods,
+            "targets": rng.standard_normal((n_gallery, dim))}
+    for name in ids:
+        write_feature_bank(FeatureBank(ids[name], rows[name]), tmp_path / f"{name}.afb")
+    write_triplets(TripletSet([TripletRecord(f"r{i}", f"m{i}", f"t{i:05d}", "test")
+                               for i in range(3)]), tmp_path / "triplets.jsonl")
+    params = init_params(HeadDims(dim, dim, dim), seed=0)
+    params.proj_w[:4] = 1e308
+    ckpt = tmp_path / "h.ahp"
+    save_checkpoint(params, ckpt)
+    argv = [f"--{name}={tmp_path / f'{name}.afb'}" for name in ids]
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "eval", *argv, "--triplets",
+                                 str(tmp_path / "triplets.jsonl"), "--flavor", flavor,
+                                 "--checkpoint", str(ckpt))
+    assert code == 3
+    assert err == "error: query 1 (r1, m1) has a NaN score\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("command, flag, problem", [
     ("train", "--checkpoint", "directory"), ("train", "--checkpoint", "no parent"),
     ("train", "--logs", "directory"), ("eval", "--dump", "directory"),

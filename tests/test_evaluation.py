@@ -34,7 +34,7 @@ from emis.evaluation import (
     round_half_up,
 )
 from emis.head import Flavor, HeadDims, init_params, pairwise_scores
-from emis.numerics import NORM_ROWS
+from emis.numerics import NORM_EPS, NORM_ROWS, normalize_rows
 
 from conftest import refuse_matrix64, traced_peak, unit_rows
 from rank_oracle import RankResult, rank_targets
@@ -446,18 +446,16 @@ def test_evaluate_empty_queries():
 class FixedScores:
     """A stand-in for ``evaluation.BlockScores`` over the exact scores of a block.
 
-    A screened tile is the exact scores offset by ``offsets`` (entries
-    +margin, -margin or 0), the widest screen the ranker must accept; a
-    non-finite exact score keeps its value, and unscreened tiles are exact.
+    A tile is the exact scores offset by ``offsets`` (entries +margin,
+    -margin or 0), the widest screen the ranker must accept; a non-finite
+    exact score keeps its value.
     """
 
     def __init__(self, exact: np.ndarray, offsets: np.ndarray, margin: float):
         self.scores, self.offsets, self.margin = exact, offsets, margin
 
-    def tile(self, lo, hi, screened):
+    def tile(self, lo, hi):
         exact = self.scores[:, lo:hi]
-        if not screened:
-            return exact.copy()
         return np.where(np.isfinite(exact), exact + self.offsets[:, lo:hi], exact)
 
     def exact(self, rows, cols):
@@ -574,6 +572,53 @@ def test_streaming_ranker_matches_sort_oracle(data):
         assert line == json.dumps({
             "query": i, "ref": queries[i].ref_id, "mod": queries[i].mod_id, "rank": e.rank,
             "top": [{"id": g, "score": float(scores[i, index[g]])} for g in top],
+        }, sort_keys=True)
+
+
+@pytest.mark.parametrize("flavor", [Flavor.ARTEMIS, Flavor.IS_ONLY], ids=["artemis", "is_only"])
+def test_tiles_the_float32_guard_refuses_rank_like_the_oracle_on_exact_scores(flavor):
+    """Two one-hot gallery rows, in the first tile and in the ragged last
+    one, have IS pair norms a_0 between NORM_EPS and 2 NORM_EPS: the float32
+    guard refuses their tiles, which are scored in float64. With one-query
+    blocks and a last tile of G % 8 != 0 rows those float64 scores do not
+    have ``pair_scores``' bits, yet ranks, subset ranks and dump lines are
+    the sort oracle's over ``pair_scores``' values."""
+    dim, n_gallery, n_queries = 512, 4101, 6
+    params = init_params(HeadDims(dim, dim, dim), seed=0)
+    params.attn_is.b2[0] = -21.0   # a_0 near 1.5e-12 for every modifier
+    rng = np.random.default_rng(0)
+    targets = rng.standard_normal((n_gallery, dim)).astype(np.float32)
+    one_hot = [0, n_gallery - 2]
+    targets[one_hot] = np.eye(dim, dtype=np.float32)[0]
+    refs, mods = (rng.standard_normal((n_queries, dim)).astype(np.float32) for _ in range(2))
+    gallery_ids = [f"t{i:05d}" for i in range(n_gallery)]
+    corpus = Corpus(refs=FeatureBank([f"r{i}" for i in range(n_queries)], refs),
+                    mods=FeatureBank([f"m{i}" for i in range(n_queries)], mods),
+                    targets=FeatureBank(gallery_ids, targets))
+    queries = []
+    for i, cols in enumerate(rng.choice(np.arange(1, n_gallery - 2), (n_queries, 4),
+                                        replace=False)):
+        picked = [gallery_ids[c] for c in [*cols, *one_hot]]
+        queries.append(QuerySpec(f"r{i}", f"m{i}", (picked[0],), tuple(picked)))
+    r_rows, m_rows = normalize_rows(refs), normalize_rows(mods)
+    a_0 = head.attention_rows(m_rows, params.attn_is)[:, 0]
+    assert np.all((a_0 > NORM_EPS) & (a_0 < 1.9 * NORM_EPS))
+    gallery = head.prepare_gallery(targets, params.dims, flavor)
+    exact = evaluation.block_scores(r_rows, m_rows, gallery, params, flavor).exact(
+        np.repeat(np.arange(n_queries), n_gallery), np.tile(np.arange(n_gallery), n_queries))
+    exact = exact.reshape(n_queries, n_gallery)
+
+    got = rank_queries(queries, corpus, params, flavor, block_size=1, dump_top_k=10)
+
+    expected = [oracle_rank(exact[i], q, gallery_ids) for i, q in enumerate(queries)]
+    assert got.ranks.tolist() == [e.rank for e in expected]
+    assert got.subset_ranks.tolist() == [
+        oracle_rank(exact[i], q, gallery_ids, q.subset_members).rank
+        for i, q in enumerate(queries)]
+    for i, (line, e) in enumerate(zip(got.dump_lines, expected, strict=True)):
+        assert line == json.dumps({
+            "query": i, "ref": f"r{i}", "mod": f"m{i}", "rank": e.rank,
+            "top": [{"id": g, "score": float(exact[i, int(g[1:])])} for g in e.ordering[:10]],
         }, sort_keys=True)
 
 

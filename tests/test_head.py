@@ -24,6 +24,7 @@ from emis.head import (
     init_params,
     lift_params,
     load_checkpoint,
+    pair_scores,
     pairwise_scores,
     params_to_vector,
     prepare_gallery,
@@ -243,17 +244,16 @@ def test_prepare_gallery_takes_float32_rows_and_leaves_them_alone(flavor):
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_pairwise_accepts_prepared_gallery(flavor):
-    """A gallery prepared under any flavor scores every flavor like a fresh one."""
+    """A gallery prepared under any flavor scores every flavor as
+    ``pairwise_scores`` scores the raw rows."""
     dims = HeadDims(8, 8, 8)
     params = init_params(dims, seed=7)
     r_rows, m_rows, t_rows = _toy_batch(dims, 4, 9, seed=7)
     gallery = prepare_gallery(t_rows, dims, flavor)
     for scored in FLAVORS:
         fresh = pairwise_scores(r_rows, m_rows, t_rows, params, scored)
-        assert np.array_equal(pairwise_scores(r_rows, m_rows, gallery, params, scored), fresh)
-    narrow = prepare_gallery(t_rows[:, :5], HeadDims(8, 5, 8), flavor)
-    with pytest.raises(ShapeMismatch):
-        pairwise_scores(r_rows, m_rows, narrow, params, flavor)
+        state = encode_queries(r_rows, m_rows, params, scored)
+        assert np.array_equal(scores_from_state(state, gallery), fresh)
 
 
 def test_pairwise_accepts_tape_vars():
@@ -430,7 +430,9 @@ def test_tiled_scores_equal_channel_scores(flavor, n_queries, n_rows):
 @given(st.data())
 def test_float32_screen_is_within_its_margin_on_adversarial_channels(data):
     """|float32 score - float64 score| <= screen_margin(K) for every pair the
-    float32 guard passes: near-cancelling dots, one-hot attention, and
+    float32 guard passes, and |float64 score - pair_scores| <= screen_margin(K)
+    for every pair the float64 guard passes (ranking's float64 tiles, where
+    the float32 guard fires): near-cancelling dots, one-hot attention, and
     peaked attention whose other weights (and their squares) fall below
     float32's normal range or to 0 in it."""
     width = data.draw(st.sampled_from([2, 8, 512]), label="K")
@@ -467,10 +469,19 @@ def test_float32_screen_is_within_its_margin_on_adversarial_channels(data):
     try:
         screen = scores_from_state(state.astype(np.float32), gallery)
     except NearZeroNorm:
-        return   # a pair the screen leaves to float64; ranking reruns the block
-    exact = scores_from_state(state, gallery)
-    worst = float(np.max(np.abs(screen.astype(np.float64) - exact)))
-    assert worst <= screen_margin(width), f"{worst!r} at K = {width}; {blas_config()}"
+        screen = None   # ranking scores this tile in float64 instead
+    try:
+        exact = scores_from_state(state, gallery)
+    except NearZeroNorm:
+        assert screen is None   # the float32 guard passes no pair the float64 guard fails
+        return
+    rows, cols = np.divmod(np.arange(exact.size), n_rows)
+    pairs = pair_scores(state, gallery, rows, cols).reshape(exact.shape)
+    worst = float(np.max(np.abs(exact - pairs)))
+    assert worst <= screen_margin(width), f"float64 {worst!r} at K = {width}; {blas_config()}"
+    if screen is not None:
+        worst = float(np.max(np.abs(screen.astype(np.float64) - exact)))
+        assert worst <= screen_margin(width), f"{worst!r} at K = {width}; {blas_config()}"
 
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
