@@ -232,6 +232,8 @@ def _aggregate_cells(config: RunConfig, cell_args: list[str]) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.top_k < 0:
+        raise ConfigError(f"top-k must be >= 0, got {args.top_k}")
     config = _run_config(args)
     if args.cells:
         return _aggregate_cells(config, args.cells)

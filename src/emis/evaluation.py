@@ -22,7 +22,8 @@ score. So ranks, dumps and metrics are those of float64 ranking, and no
 float32 value reaches them; no (Q, G) score block is held. A tile whose
 float32 pair-norm guard fires (a pair norm at or below 2 NORM_EPS) is
 scored in float64 instead, under the same m, and its float64 guard
-raises the error, if any, as the float64 scoring always has. A NaN score
+raises the error, if any, as may the same guard in the exact scores (on
+fewer pairs of the block, so perhaps naming another query). A NaN score
 is an error, never a rank; +-inf scores rank like any other value.
 Reports round to two decimals (half-up) only at emission; internal math
 keeps full precision.
@@ -422,8 +423,8 @@ def _rank_block(scores: BlockScores, n_gallery: int, id_rank: Array, targets: _T
     Each comparison with a query's exact first-ground-truth score s is
     decided on the tile wherever it falls outside s +- margin, in the
     tile's dtype; the rest are settled on exact scores. A NaN score raises
-    NonFiniteGradient once every tile is scored, so the tiles' pair-norm
-    guard fires first, as over a whole block.
+    NonFiniteGradient once every tile is scored, so the pair-norm guard,
+    of a tile or of an exact call, fires first, as over a whole block.
     """
     q = len(chunk)
     margin = scores.margin

@@ -8,17 +8,16 @@ compares a linear projection of the modifier against the reweighted
 candidate. The full model adds the two.
 
 ``pairwise_scores`` composes the three phases that the latency benchmark
-times one by one: query encoding, gallery preparation and scoring. Its
-parameters are plain float64 arrays (evaluation) or tape ``Var``s
-(training). Both attention scores have one form, the attended cosine
-cos(u, a * t), so a query is a list of channels that scoring sums without
-asking which flavor built them. ``scores_from_state`` holds the one
-kernel: ``SCORE_TILE`` gallery rows at a time, with the pair-norm guard
-per tile, in the dtype of the query channels. Ranking screens every pair
-in float32 (a tile whose float32 guard fires, in float64) and asks
+times one by one: query encoding, gallery preparation and scoring, on
+plain or tape ``Var`` parameters (training, the gradient check). Both
+attention scores have one form, the attended cosine cos(u, a * t), so a
+query is a list of channels that scoring sums without asking which
+flavor built them. ``scores_from_state`` holds the one kernel:
+``SCORE_TILE`` gallery rows at a time, with the pair-norm guard per tile,
+in the dtype of the query channels. Ranking screens every pair in
+float32 (a tile whose float32 guard fires, in float64) and asks
 ``pair_scores`` for the float64 scores of the few pairs the error bound,
-``screen_margin``, cannot decide; those have the bits the float64 tiles
-give at full shapes.
+``screen_margin``, cannot decide: the same kernel on padded gathers.
 
 Each formula (an attention MLP, a channel's query u, its x and sq, the
 channel sum) is written once in plain numpy. On tape parameters it
@@ -41,9 +40,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var, value_of
-from .errors import BadMagic, ConfigError, NonFiniteData, ShapeMismatch, TruncatedFile
-from .numerics import (NORM_EPS, guard_norms, normalize_rows, padded_gemm, row_norms,
-                       softmax_rows)
+from .errors import (BadMagic, ConfigError, NearZeroNorm, NonFiniteData, ShapeMismatch,
+                     TruncatedFile)
+from .numerics import NORM_EPS, guard_norms, normalize_rows, pad_rows, row_norms, softmax_rows
 
 Array = np.ndarray
 
@@ -57,7 +56,7 @@ GAMMA_MIN = 1e-3
 # rows too) move last bits.
 SCORE_TILE = 2048
 
-# Query rows per gathered gemm of ``pair_scores``.
+# Query rows per ``scores_from_state`` call of ``pair_scores``.
 PAIR_ROWS = 40
 
 
@@ -412,14 +411,12 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
     eps = NORM_EPS if dtype == np.float64 else 2 * NORM_EPS
     q, (g, dim) = plain[0][0].shape[0], gallery.tn.shape
     w = min(g, SCORE_TILE)
-    # A tape state (a training batch) keeps its unit rows for the backward.
-    whole = gallery.unit_rows(slice(None)) if isinstance(channels[0][0], Var) else None
     out, t_sq = np.empty((q, g), dtype), np.empty((w, dim), dtype)
     flat = np.empty((2, q * w), dtype)
-    unit = np.empty((w, dim), dtype) if whole is None else None
+    unit = np.empty((w, dim), dtype)
     for lo in range(0, g, SCORE_TILE):
         hi = min(lo + SCORE_TILE, g)
-        t = gallery.unit_rows(slice(lo, hi), unit[:hi - lo]) if whole is None else whole[lo:hi]
+        t = gallery.unit_rows(slice(lo, hi), unit[:hi - lo])
         o = out[:, lo:hi]
         n, d = flat[:, :q * (hi - lo)].reshape(2, q, hi - lo)   # contiguous, ragged or not
         if plain[0][1] is None:   # one ungated channel: one gemm, into a contiguous buffer
@@ -434,9 +431,10 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
             np.divide(d, n, out=d if k else o)
             if k:
                 np.add(o, d, out=o)
-    if whole is None:
+    if not isinstance(channels[0][0], Var):
         return out
-    t, t_sq = whole, whole * whole
+    t = gallery.unit_rows(slice(None))   # the whole batch's, for the backward
+    t_sq = t * t
     pairs = [_norms_and_dots(x, sq, t, t_sq) for x, sq in plain]
 
     def backward(g):   # to each channel's x, then its sq
@@ -459,30 +457,31 @@ def _distinct(values: Array) -> Array:
 def pair_scores(queries: QueryState, gallery: GalleryState, rows, cols) -> Array:
     """Float64 scores of the pairs (``rows[j]``, ``cols[j]``) of a plain state.
 
-    Each score has the bits that float64 ``scores_from_state`` gives the
-    pair at full tile sizes: the pairs of each ``PAIR_ROWS`` query rows are
-    one ``padded_gemm`` per product against the union of their gallery
-    rows, whose unit rows are divided as the tiles divide them. No guard
-    runs here: the caller scores every pair it asks about through a
-    guarded tile, and a pair norm of 0 gives inf or NaN silently.
+    Each ``PAIR_ROWS`` query rows go through float64 ``scores_from_state``
+    against their pairs' gallery rows, ``SCORE_TILE`` at a time, both sides
+    gathered and padded (``pad_rows``) so that each score has the bits the
+    float64 tiles give the pair at full shapes. The guard sees only pairs of
+    the caller's tiles; a ``NearZeroNorm`` names the caller's row.
     """
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     out = np.empty(len(rows))
     picked = _distinct(rows)
     for start in range(0, len(picked), PAIR_ROWS):
         part = picked[start:start + PAIR_ROWS]
-        sel = np.flatnonzero((rows >= part[0]) & (rows <= part[-1]))
-        at_col = _distinct(cols[sel])
-        col_pos = np.searchsorted(at_col, cols[sel])
-        t = gallery.unit_rows(at_col)
-        total = None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for x, sq in queries.channels:
-                score = padded_gemm(x[part], t)
-                if sq is not None:
-                    score /= np.sqrt(padded_gemm(sq[part], t * t))
-                total = score if total is None else total + score
-        out[sel] = total[np.searchsorted(part, rows[sel]), col_pos]
+        in_part = (rows >= part[0]) & (rows <= part[-1])
+        at_col = _distinct(cols[in_part])
+        channels = [(pad_rows(x[part], 4), None if sq is None else pad_rows(sq[part], 4))
+                    for x, sq in queries.channels]
+        state = QueryState(queries.flavor, len(channels[0][0]), channels)
+        for lo in range(0, len(at_col), SCORE_TILE):
+            cut = at_col[lo:lo + SCORE_TILE]
+            sel = np.flatnonzero(in_part & (cols >= cut[0]) & (cols <= cut[-1]))
+            try:
+                scores = scores_from_state(state, GalleryState(pad_rows(gallery.tn[cut], 8),
+                                                               pad_rows(gallery.norms[cut], 8)))
+            except NearZeroNorm as exc:
+                raise NearZeroNorm(str(exc), row=int(part[exc.row])) from None
+            out[sel] = scores[np.searchsorted(part, rows[sel]), np.searchsorted(cut, cols[sel])]
     return out
 
 
@@ -491,9 +490,10 @@ def pairwise_scores(r_rows: Array, m_rows: Array, t_rows: Array, params: HeadPar
     """Scores for every (query, candidate) pair: queries x candidates.
 
     Query-side quantities (attention vectors, projection, query norms)
-    are computed once per query and reused across all candidates.
-    Inputs are plain float64 arrays; parameters may be tape Vars, in
-    which case the result participates in backprop.
+    are computed once per query and reused across all candidates. Rows
+    are float arrays (training's targets are float32 bank rows) scored in
+    float64; parameters may be tape Vars, in which case the result
+    participates in backprop.
     """
     state = encode_queries(r_rows, m_rows, params, flavor)
     return scores_from_state(state, prepare_gallery(t_rows, params.dims, flavor))

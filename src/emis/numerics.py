@@ -1,15 +1,14 @@
-"""The norm floor, row norms, the row normalizer, the row softmax, the
-padded gemm and gradient verification.
+"""The norm floor, row norms, the row normalizer, the row padder, the row
+softmax and gradient verification.
 
 ``NORM_EPS`` is the smallest norm the program will divide by.
 ``row_norms`` is the one row-norm loop, taken ``NORM_ROWS`` rows at a
 time so no bank-sized temporary is built, and ``normalize_rows`` the
 one row normalizer: a row whose norm is NaN or <= ``NORM_EPS`` raises
-``NearZeroNorm``. ``softmax_rows`` is the max-shifted row softmax of the
-attention branches and the loss. ``padded_gemm`` multiplies gathered
-rows so that each entry has the bits of the same entry of a full-tile
-gemm. ``finite_diff_check`` is the
-ground-truth oracle used by the test suite and the ``gradcheck`` CLI
+``NearZeroNorm``. ``pad_rows`` pads gathered rows so that a gemm of them
+keeps the bits of a full-tile gemm. ``softmax_rows`` is the max-shifted
+row softmax of the attention branches and the loss. ``finite_diff_check``
+is the ground-truth oracle used by the test suite and the ``gradcheck`` CLI
 command: it compares a given analytic gradient against central
 differences of a plain-array function, coordinate by coordinate, and
 builds no tape.
@@ -81,8 +80,10 @@ def pad_rows(rows: Array, multiple: int) -> Array:
 
     A gemm's bits depend on its shape only through the kernel OpenBLAS
     picks for it, and small or ragged shapes take paths that sum in
-    another order. Padded this way, the rows of a product come out with
-    the bits they have in a large gemm (see ``padded_gemm``).
+    another order. Query rows padded to a multiple of 4 and gallery rows
+    to 8 keep the bits of a 256 x 2048 gemm on OpenBLAS 0.3.31, as
+    ``tests/test_head.py`` pins through ``head.pair_scores``; floors of 32
+    or less do not.
     """
     n = len(rows)
     target = max(-(-n // multiple) * multiple, 40)
@@ -91,18 +92,6 @@ def pad_rows(rows: Array, multiple: int) -> Array:
     out = np.empty((target, *rows.shape[1:]), dtype=rows.dtype)   # C order, as gathered rows
     out[:n], out[n:] = rows, rows[:1]
     return out
-
-
-def padded_gemm(a: Array, b: Array) -> Array:
-    """``a @ b.T`` for gathered rows, each entry bit for bit that of a full-tile gemm.
-
-    ``a`` (Q, K) is padded by ``pad_rows`` to a multiple of 4 and ``b``
-    (k, K) to a multiple of 8, and the padding is cut off the product. On
-    OpenBLAS 0.3.31 every entry then equals the same entry of a 256 x 2048
-    gemm, for Q up to 256, k up to 1000 and K in {8, 32, 128, 512}
-    (``tests/test_numerics.py`` pins this); floors of 32 or less do not.
-    """
-    return (pad_rows(a, 4) @ pad_rows(b, 8).T)[:len(a), :len(b)]
 
 
 def softmax_rows(x: Array) -> Array:

@@ -539,6 +539,16 @@ def test_bad_run_setting_is_refused_before_any_input_is_read(tmp_path, capsys, c
     assert str(tmp_path) not in err
 
 
+@pytest.mark.parametrize("dump", [False, True], ids=["no-dump", "dump"])
+def test_negative_top_k_is_refused_before_any_input_is_read(tmp_path, capsys, dump):
+    missing = tmp_path / "missing"
+    argv = ["eval", "--top-k", "-1"] + (["--dump", str(tmp_path / "d.jsonl")] if dump else [])
+    for name in ("config", "refs", "mods", "targets", "triplets", "subsets", "checkpoint"):
+        argv += [f"--{name}", str(missing / name)]
+    assert run_cli(capsys, *argv) == (2, "", "config error: top-k must be >= 0, got -1\n")
+    assert not (tmp_path / "d.jsonl").exists()
+
+
 def test_workers_above_the_usable_cpus_is_a_config_error(dataset, tmp_path, capsys,
                                                         monkeypatch):
     """No thread is started: the pool class only records what it is given."""

@@ -36,7 +36,7 @@ from emis.evaluation import (
 from emis.head import Flavor, HeadDims, init_params, pairwise_scores
 from emis.numerics import NORM_EPS, NORM_ROWS, normalize_rows
 
-from conftest import refuse_matrix64, traced_peak, unit_rows
+from conftest import one_hot_attention_params, refuse_matrix64, traced_peak, unit_rows
 from rank_oracle import RankResult, rank_targets
 
 
@@ -620,6 +620,27 @@ def test_tiles_the_float32_guard_refuses_rank_like_the_oracle_on_exact_scores(fl
             "query": i, "ref": f"r{i}", "mod": f"m{i}", "rank": e.rank,
             "top": [{"id": g, "score": float(exact[i, int(g[1:])])} for g in e.ordering[:10]],
         }, sort_keys=True)
+
+
+def test_a_zero_pair_norm_in_a_later_pair_group_names_its_query():
+    """One block of 45 queries, whose ground truths are scored exactly 40
+    rows at a time: query 44's attention, one-hot on dim 1, meets its ground
+    truth, one-hot on dim 0, in the second group. The error names query 44,
+    not row 4 of that group."""
+    dim, n = 8, 45
+    rng = np.random.default_rng(3)
+    mods = -np.abs(rng.standard_normal((n, dim))).astype(np.float32) - 0.1   # uniform attention
+    mods[44] = np.eye(dim, dtype=np.float32)[1]
+    targets = rng.standard_normal((3, dim)).astype(np.float32)
+    targets[0] = np.eye(dim, dtype=np.float32)[0]
+    corpus = Corpus(refs=FeatureBank([f"r{i}" for i in range(n)],
+                                     rng.standard_normal((n, dim)).astype(np.float32)),
+                    mods=FeatureBank([f"m{i}" for i in range(n)], mods),
+                    targets=FeatureBank(["t0", "t1", "t2"], targets))
+    queries = [QuerySpec(f"r{i}", f"m{i}", ("t0" if i == 44 else "t1",)) for i in range(n)]
+    with pytest.raises(NearZeroNorm, match=r"^query 44 \(r44, m44\): attention-weighted "
+                                           r"candidate has norm 0\.0$"):
+        rank_queries(queries, corpus, one_hot_attention_params(dim), Flavor.IS_ONLY)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -14,6 +14,7 @@ from emis.head import (
     BLOCK_NAMES,
     SCORE_TILE,
     Flavor,
+    GalleryState,
     HeadDims,
     QueryState,
     block_shapes,
@@ -366,6 +367,74 @@ def test_pair_norm_guard_fires_in_the_last_tile(flavor):
         with pytest.raises(NearZeroNorm, match="nan") as err:
             scores_from_state(scored, gallery)
         assert err.value.row == 0
+
+
+def test_pair_scores_guard_names_the_callers_row():
+    """Rows 40-44 are the second ``PAIR_ROWS`` group, whose gathered pairs
+    include row 44, with sq on dim 1 only, against gallery row 0, one-hot
+    on dim 0: the guard fires there and names row 44 of the caller's state,
+    not row 4 of the group."""
+    width, rng = 8, np.random.default_rng(4)
+    x, sq = rng.standard_normal((45, width)), rng.random((45, width)) + 0.1
+    x[44, 0], sq[44] = -1.0, np.eye(width)[1]
+    t_rows = rng.standard_normal((2, width))
+    t_rows[0] = np.eye(width)[0]
+    state = QueryState(Flavor.IS_ONLY, 45, [(x, sq)])
+    gallery = prepare_gallery(t_rows, HeadDims(width, width, 1), Flavor.IS_ONLY)
+    rows, cols = np.arange(45), np.append(np.ones(44, dtype=np.int64), 0)
+    with pytest.raises(NearZeroNorm, match="attention-weighted candidate has norm 0.0") as err:
+        pair_scores(state, gallery, rows, cols)
+    assert err.value.row == 44
+
+
+FULL_TILES = {}   # (K, gated channels) -> (state, gallery, float64 scores)
+
+
+def full_tile(width: int, gated: int):
+    """256 queries of ``gated`` attended channels (0: one ungated channel)
+    against one full tile of float32 rows, and their float64 scores."""
+    if (width, gated) not in FULL_TILES:
+        rng = np.random.default_rng(4 * width + gated)
+        channels = [(unit_rows(rng, 256, width), None)] if not gated else [
+            (rng.standard_normal((256, width)),
+             softmax_rows(rng.standard_normal((256, width))) ** 2) for _ in range(gated)]
+        state = QueryState(Flavor.ARTEMIS, 256, channels)
+        t_rows = rng.standard_normal((SCORE_TILE, width)).astype(np.float32)
+        gallery = prepare_gallery(t_rows, HeadDims(width, width, 1), Flavor.ARTEMIS)
+        FULL_TILES[width, gated] = state, gallery, scores_from_state(state, gallery)
+    return FULL_TILES[width, gated]
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.integers(1, 256), k=st.integers(1, 1000), width=st.sampled_from([8, 32, 128, 512]),
+       gated=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_scores_of_gathered_pairs_have_the_full_tiles_bits(q, k, width, gated, seed):
+    """The padding rule that exact ranking rests on: the pairs of any q x k
+    gather, scored by ``pair_scores`` through ``scores_from_state`` on padded
+    rows, have the bits of the same entries of the full 256 x 2048 float64
+    tile. A BLAS that breaks the rule fails here, naming itself."""
+    state, gallery, full = full_tile(width, gated)
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.choice(256, q, replace=False), rng.choice(SCORE_TILE, k, replace=False)
+    got = pair_scores(state, gallery, np.repeat(rows, k), np.tile(cols, q)).reshape(q, k)
+    moved = int((got != full[np.ix_(rows, cols)]).sum())
+    assert moved == 0, (f"{moved} of {q} x {k} entries moved at K = {width} with {gated} "
+                        f"gated channels; {blas_config()}")
+
+
+def test_pair_scores_past_one_tile_of_columns_keep_the_full_tiles_bits():
+    """More than ``SCORE_TILE`` gathered columns are scored ``SCORE_TILE``
+    at a time, each cut padded on its own: the last 8 columns here copy the
+    first 8 rows of the full tile, and score to those columns' bits, which
+    an unpadded 8-row last tile moves."""
+    state, gallery, full = full_tile(512, 2)
+    wider = GalleryState(np.concatenate([gallery.tn, gallery.tn[:8]]),
+                         np.concatenate([gallery.norms, gallery.norms[:8]]))
+    rows, n_cols = np.arange(0, 256, 7), SCORE_TILE + 8
+    got = pair_scores(state, wider, np.repeat(rows, n_cols), np.tile(np.arange(n_cols), len(rows)))
+    want = np.concatenate([full[rows], full[rows, :8]], axis=1)
+    moved = int((got.reshape(len(rows), n_cols) != want).sum())
+    assert moved == 0, f"{moved} entries moved; {blas_config()}"
 
 
 def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
