@@ -11,17 +11,22 @@ equals lives in ``tests/rank_oracle.py`` as the ranker's oracle.
 
 Ranking is certified, not approximate. Each block first gets the exact
 float64 score s of every ground truth, then scores the gallery in
-float32 tiles, each within ``head.screen_margin`` m of its float64
-score. A candidate above s + m is ahead, one below s - m behind; only
-the few between (about one per query, mostly the ground truth itself)
-get exact scores, from ``head.pair_scores``, and are compared by
-(score, id rank) as before. Subset members are decided the same way.
-The top-k dump keeps each tile's candidates within 2m of a lower bound
-on the row's k-th best screen value, then orders the survivors by exact
-score. So ranks, dumps and metrics are those of float64 ranking, and no
-float32 value reaches them; no (Q, G) score block is held. A tile whose
-float32 pair-norm guard fires (a pair norm at or below 2 NORM_EPS) is
-scored in float64 instead, under the same m, and its float64 guard
+float32 tiles of the raw gallery rows, each score within
+``head.screen_margin`` m of its float64 one. A candidate above s + m is
+ahead, one below s - m behind; only the few between (about one per
+query, mostly the ground truth itself, whose score is already known) get
+exact scores, from ``head.pair_scores``, and are compared by (score, id
+rank) as before. Subset members are decided the same way. The top-k
+dump keeps each tile's candidates within 2m of a lower bound on the
+row's k-th best screen value, then orders the survivors by exact score.
+So ranks, dumps and metrics are those of float64 ranking, and no float32
+value reaches them; no (Q, G) score block is held. A tile is read only
+where a decision can change: it is reduced once to row maxima, and only
+rows whose maximum reaches s - m are counted; the dump compares only the
+column stripes whose maxima reach the row's cut. A tile whose float32
+pair-norm guard fires (a pair norm at or below 2 NORM_EPS times the
+tile's largest row norm) or whose row norms leave ``head.SCREEN_NORMS``
+is scored in float64 instead, under the same m, and its float64 guard
 raises the error, if any, as may the same guard in the exact scores (on
 fewer pairs of the block, so perhaps naming another query). A NaN score
 is an error, never a rank; +-inf scores rank like any other value.
@@ -246,12 +251,13 @@ class BlockScores:
 
     ``tile(lo, hi)`` scores gallery columns [lo, hi) into a fresh array
     the caller may write, each score within ``margin`` of its exact one:
-    the float32 screen, or, where the screen's pair-norm guard fires, the
-    float64 scores, which differ from ``exact``'s only in summation order
-    (see ``head.screen_margin``). ``exact(rows, cols)`` gives the float64
-    scores of those pairs, with the bits of the float64 tiles at full
-    shapes. A NaN float64 score is NaN in float32 too, and a finite one, a
-    sum of at most two cosines, is finite in both.
+    the float32 screen, or, where the screen's pair-norm guard fires or a
+    norm leaves ``head.SCREEN_NORMS``, the float64 scores, which differ
+    from ``exact``'s only in summation order (see ``head.screen_margin``).
+    ``exact(rows, cols)`` gives the float64 scores of those pairs, with the
+    bits of the float64 tiles at full shapes. A NaN float64 score is NaN in
+    float32 too, and a finite one, a sum of at most two cosines, is finite
+    in both.
     """
 
     def __init__(self, state: head.QueryState, gallery: head.GalleryState):
@@ -261,10 +267,13 @@ class BlockScores:
 
     def tile(self, lo: int, hi: int) -> Array:
         rows = self.gallery.rows(lo, hi)
-        try:
-            return head.scores_from_state(self.screen, rows)
-        except NearZeroNorm:
-            return head.scores_from_state(self.state, rows)
+        least, most = head.SCREEN_NORMS
+        if least <= rows.norms.min() and rows.norms.max() <= most:
+            try:
+                return head.scores_from_state(self.screen, rows)
+            except NearZeroNorm:   # a pair norm the screen cannot vouch for
+                pass
+        return head.scores_from_state(self.state, rows)
 
     def exact(self, rows: Array, cols: Array) -> Array:
         return head.pair_scores(self.state, self.gallery, rows, cols)
@@ -337,8 +346,9 @@ class _Band:
         return _ahead(exact, id_ranks, self.s[rows], self.r[rows])
 
 
-# Column classes (columns equal mod TOP_STRIPES) of a tile whose maxima bound
-# a dump row's k-th best score from below.
+# Column classes (columns equal mod TOP_STRIPES, or mod k when k is larger)
+# of a tile whose maxima bound a dump row's k-th best score from below and
+# gate which columns the dump compares.
 TOP_STRIPES = 64
 
 
@@ -354,12 +364,14 @@ class _TopK:
     true top k (ties at the boundary too) scores at least theta - margin
     exactly, so at least theta - 2 margin on the screen. The k-th largest
     of the maxima of disjoint column sets is a lower bound on theta, since
-    k distinct columns reach it: each tile's columns are split by their
-    index mod ``TOP_STRIPES`` (its excluded column held at -inf), the k
-    largest maxima so far are kept, and the tile keeps its columns at or
-    above the least of them less 2 margin. The survivors then go down to
-    theta - 2 margin, and ``best`` orders them by (-exact score, id rank)
-    and keeps each row's first k.
+    k distinct columns reach it: each tile's columns are split into
+    stripes by their index mod ``stripes`` (its excluded column held at
+    -inf), the k largest stripe maxima so far are kept, and the least of
+    them less 2 margin is the row's cut. A tile's columns at or above the
+    cut lie in the stripes whose maxima reach it or in the ragged tail
+    past the last whole set of stripes, so only those are compared. The
+    survivors then go down to theta - 2 margin, and ``best`` orders them
+    by (-exact score, id rank) and keeps each row's first k.
     """
 
     def __init__(self, k: int, n_rows: int, margin: float):
@@ -371,20 +383,36 @@ class _TopK:
     def _cut(self, theta: Array, dtype) -> Array:
         return _down(theta.astype(np.float64) - 2.0 * self.margin, dtype)
 
-    def add(self, tile: Array, lo: int) -> None:
+    def _keep(self, rows: Array, cols: Array, vals: Array) -> None:
+        self.rows.append(rows)
+        self.cols.append(cols)
+        self.vals.append(vals)
+
+    def add(self, tile: Array, lo: int) -> Array:
+        """Keep the candidates of ``tile``, gallery columns from ``lo``, and
+        return its row maxima, taken from its stripe and tail maxima."""
         q, w = tile.shape
-        full = w - w % self.stripes
+        stripes = self.stripes
+        full = w - w % stripes
+        tail = tile[:, full:]
+        peak = tail_peak = tail.max(axis=1, initial=-np.inf)
         if full:
-            maxima = tile[:, :full].reshape(q, full // self.stripes, self.stripes).max(axis=1)
+            grid = tile[:, :full].reshape(q, full // stripes, stripes)
+            maxima = grid.max(axis=1)
+            peak = np.maximum(tail_peak, maxima.max(axis=1))
             pool = np.concatenate([self.maxima, maxima], axis=1)
             self.maxima = np.partition(pool, pool.shape[1] - self.k, axis=1)[:, -self.k:]
         cut = self._cut(self.maxima.min(axis=1), tile.dtype)
-        rows = np.flatnonzero(tile.max(axis=1) >= cut)   # few, once the bound is up
-        part = tile[rows]
+        if full:
+            at, stripe = _nonzero(maxima >= cut[:, None])   # few, once the bound is up
+            part = grid[at, :, stripe]
+            hit, step = _nonzero(part >= cut[at, None])
+            self._keep(at[hit], stripe[hit] + step * stripes + lo, part[hit, step])
+        rows = np.flatnonzero(tail_peak >= cut)
+        part = tail[rows]
         at, cols = _nonzero(part >= cut[rows, None])
-        self.rows.append(rows[at])
-        self.cols.append(cols + lo)
-        self.vals.append(part[at, cols])
+        self._keep(rows[at], cols + full + lo, part[at, cols])
+        return peak
 
     def survivors(self, excluded: Array) -> tuple[Array, Array]:
         """The candidates (rows, cols) within 2 margin of their row's theta,
@@ -422,7 +450,11 @@ def _rank_block(scores: BlockScores, n_gallery: int, id_rank: Array, targets: _T
 
     Each comparison with a query's exact first-ground-truth score s is
     decided on the tile wherever it falls outside s +- margin, in the
-    tile's dtype; the rest are settled on exact scores. A NaN score raises
+    tile's dtype; the rest are settled on exact scores. Each tile is
+    reduced once to row maxima (by ``_TopK.add`` when dumping), after its
+    excluded columns are checked for NaN and set to -inf; a row whose
+    maximum is below s - margin has no column ahead or within the band,
+    so only the other rows are compared. A NaN score raises
     NonFiniteGradient once every tile is scored, so the pair-norm guard,
     of a tile or of an exact call, fires first, as over a whole block.
     """
@@ -461,21 +493,29 @@ def _rank_block(scores: BlockScores, n_gallery: int, id_rank: Array, targets: _T
     for lo in range(0, n_gallery, head.SCORE_TILE):
         hi = min(lo + head.SCORE_TILE, n_gallery)
         tile = scores.tile(lo, hi)
-        if np.isnan(tile.max()):
-            nan_rows |= np.isnan(tile).any(axis=1)
         here = with_x[(excluded[with_x] >= lo) & (excluded[with_x] < hi)]
+        nan_rows[here] |= np.isnan(tile[here, excluded[here] - lo])
         tile[here, excluded[here] - lo] = -np.inf
+        peak = tile.max(axis=1) if top is None else top.add(tile, lo)
+        nan_rows |= np.isnan(peak)
         low, high = band.bounds(tile.dtype)
-        mask = tile > high[:, None]
-        n_ahead = _row_counts(mask)
-        ranks += n_ahead
-        rows = np.flatnonzero(_row_counts(np.greater_equal(tile, low[:, None], out=mask))
-                              > n_ahead)
+        # Only rows with a column at or above low can count one ahead or
+        # one within the band; when most can, the tile is compared in place.
+        rows = np.flatnonzero(peak >= low)
+        if 2 * rows.size > q:
+            rows = np.arange(q)
         if rows.size:
-            part = tile[rows]
-            at, cols = _nonzero((part >= low[rows, None]) & (part <= high[rows, None]))
-            kept = cols + lo != excluded[rows[at]]
-            near_rows.append(rows[at][kept])
+            part = tile if rows.size == q else tile[rows]
+            low, high = low[rows, None], high[rows, None]
+            mask = part > high
+            n_ahead = _row_counts(mask)
+            ranks[rows] += n_ahead
+            near = np.flatnonzero(_row_counts(np.greater_equal(part, low, out=mask)) > n_ahead)
+            part = part[near]
+            at, cols = _nonzero((part >= low[near]) & (part <= high[near]))
+            at = rows[near[at]]
+            kept = cols + lo != excluded[at]
+            near_rows.append(at[kept])
             near_cols.append(cols[kept] + lo)
         if members is not None:
             sel = np.flatnonzero((m_cols >= lo) & (m_cols < hi))
@@ -484,8 +524,6 @@ def _rank_block(scores: BlockScores, n_gallery: int, id_rank: Array, targets: _T
             above = vals > high[m_rows[sel]]
             subset_ranks += _per_row(m_rows[sel][above], q)
             m_near[sel] = ~above & (vals >= low[m_rows[sel]])
-        if top is not None:
-            top.add(tile, lo)
     _raise_nan(start, chunk, np.flatnonzero(nan_rows))
     # One exact call settles every pair left: those within the band, the
     # subset members within theirs, and the dump's candidates.
@@ -495,8 +533,15 @@ def _rank_block(scores: BlockScores, n_gallery: int, id_rank: Array, targets: _T
         groups.append((m_rows[m_near], m_cols[m_near]))
     if top is not None:
         groups.append(top.survivors(excluded))
-    rows = np.concatenate([g[0] for g in groups])
-    exact = scores.exact(rows, np.concatenate([g[1] for g in groups]))
+    rows, cols = (np.concatenate([g[i] for g in groups]) for i in (0, 1))
+    # A ground truth among them keeps its score from the first call.
+    keys, truth_keys = rows * n_gallery + cols, truth_rows * n_gallery + truth_cols
+    by_key = np.argsort(truth_keys)
+    at = by_key[np.searchsorted(truth_keys, keys, sorter=by_key).clip(max=len(by_key) - 1)]
+    known = truth_keys[at] == keys
+    exact = np.empty(len(rows))
+    exact[known] = truth_vals[at[known]]
+    exact[~known] = scores.exact(rows[~known], cols[~known])
     # The tiles were NaN-free, so these pairs should be too; one that is not
     # is still an error, never a rank.
     _raise_nan(start, chunk, np.concatenate([rows[np.isnan(exact)],

@@ -14,10 +14,12 @@ attention scores have one form, the attended cosine cos(u, a * t), so a
 query is a list of channels that scoring sums without asking which
 flavor built them. ``scores_from_state`` holds the one kernel:
 ``SCORE_TILE`` gallery rows at a time, with the pair-norm guard per tile,
-in the dtype of the query channels. Ranking screens every pair in
-float32 (a tile whose float32 guard fires, in float64) and asks
-``pair_scores`` for the float64 scores of the few pairs the error bound,
-``screen_margin``, cannot decide: the same kernel on padded gathers.
+in the dtype of the query channels: float64 on unit rows, float32 on the
+rows as stored. Ranking screens every pair in float32 (a tile whose
+float32 guard fires, or whose norms leave ``SCREEN_NORMS``, in float64)
+and asks ``pair_scores`` for the float64 scores of the few pairs the
+error bound, ``screen_margin``, cannot decide: the same kernel on padded
+gathers.
 
 Each formula (an attention MLP, a channel's query u, its x and sq, the
 channel sum) is written once in plain numpy. On tape parameters it
@@ -49,9 +51,9 @@ Array = np.ndarray
 GAMMA_INIT = 10.0
 GAMMA_MIN = 1e-3
 
-# Gallery rows per scoring tile; it sizes the tile buffers: unit rows and
-# squares (SCORE_TILE x D), pair norms and dot products (Q x SCORE_TILE). A
-# multiple of 8: on the OpenBLAS kernels measured such tiles keep the
+# Gallery rows per scoring tile; it sizes the tile buffers: squares, and in
+# float64 unit rows (SCORE_TILE x D), pair norms and dot products (Q x
+# SCORE_TILE). A multiple of 8: on the OpenBLAS kernels measured such tiles keep the
 # whole-gallery gemm's bits, while other widths (a last tile of G % 8 != 0
 # rows too) move last bits.
 SCORE_TILE = 2048
@@ -63,24 +65,41 @@ PAIR_ROWS = 40
 def screen_margin(width: int) -> float:
     """Bound on |float32 score - float64 score| at inner width ``width`` (K).
 
-    Each channel is a cosine, |d / n| <= 1, and sum |x_k t_k| <= n by
-    Cauchy-Schwarz. With u = 2^-24 and Higham's gamma_k = k u / (1 - k u),
-    x and sq are rounded once, a unit row t twice (its norm, then the
-    division) and each dot product adds gamma_K, so the dots d are within
-    gamma_{K+3} n and the pair norms n within gamma_{K+6} / 2 + u relative,
-    and a channel's float32 value is within gamma_{K+3} + gamma_{K+6} / 2
-    + 2u of its float64 value. Two channels and their float32 sum stay
-    within (3K + 18) u, an ungated score within gamma_{K+3}; the margin
-    4 (K + 8) u covers both, and attention weights that underflow in
-    float32 move a decided score (pair norm > 2 NORM_EPS) by < 1e-20.
+    The screen reads a gallery row t of norm v as stored. Each channel is
+    a cosine, |d / n| <= 1, and sum |x_k t_k| <= n by Cauchy-Schwarz. With
+    u = 2^-24 and Higham's gamma_k = k u / (1 - k u), x and sq are rounded
+    once, t at most once (float64 rows), t^2 once more, and each dot
+    product adds gamma_K, so the dots d are within gamma_{K+2} n and the
+    pair norms n within gamma_{K+4} / 2 + u relative, and a channel's
+    float32 value is within gamma_{K+2} + gamma_{K+4} / 2 + 2u of its
+    float64 value. Two channels and their float32 sum stay within
+    (3K + 14) u; an ungated score, x . t times float32 1 / v (v rounded,
+    then divided into 1), within gamma_{K+5}. The margin 4 (K + 8) u covers
+    both with K u to spare.
+
+    That model holds while nothing overflows or underflows, which
+    ``SCREEN_NORMS`` = [2^-22, 2^63] ensures for v. As x, sq <= 1, every
+    square, product and partial sum stays below 2 v^2 <= 2^127 (the dots
+    below 2 v), so nothing overflows. Underflow adds at most e = 2^-150
+    per rounding (and nothing to a sum): to n^2, e v^2 + 2 e v + 2 e per
+    term. Against the guarded n > 2 NORM_EPS v that is
+    (K e / 4 NORM_EPS^2)(1 + 2 / v + 2 / v^2) relative, < K u / 8 for
+    v >= 2^-22, and (K e / 2 NORM_EPS)(1 + 2 / v) < 2^-80 K on d / n (less
+    on an ungated x . t / v); n^2 itself stays above float32's normal
+    floor, 2^-126.
 
     The margin also covers a float64 tile, which ranking scores where the
-    float32 guard fires: its entries and ``pair_scores``' values are two
-    float64 evaluations of one formula in different summation orders, so
-    the same analysis at u = 2^-53 puts them within 2 (3K + 18) 2^-53 of
-    each other (3.5e-13 at K = 512).
+    float32 guard fires or v leaves ``SCREEN_NORMS``: its entries and
+    ``pair_scores``' values are two float64 evaluations of one formula in
+    different summation orders, so the same analysis at u = 2^-53 puts
+    them within 2 (3K + 18) 2^-53 of each other (3.5e-13 at K = 512).
     """
     return 4.0 * (width + 8) * 2.0 ** -24
+
+
+# Gallery norms for which the float32 screen keeps within ``screen_margin``;
+# ranking scores a tile with a norm outside them in float64.
+SCREEN_NORMS = (2.0 ** -22, 2.0 ** 63)
 
 
 class Flavor(Enum):
@@ -271,9 +290,10 @@ class GalleryState:
     """Candidate-side arrays, which every flavor can score.
 
     ``tn`` (G, D) holds the gallery rows as given (float32 bank rows, say)
-    and ``norms`` their guarded float64 norms. Scoring divides each tile it
-    reads into unit rows (``unit_rows``) in its own dtype, so no G x D copy
-    of the gallery is made in any dtype.
+    and ``norms`` their guarded float64 norms. Float64 scoring divides each
+    tile it reads into unit rows (``unit_rows``); the float32 screen reads
+    float32 rows as stored. So no G x D copy of the gallery is made in any
+    dtype.
     """
 
     tn: Array
@@ -284,16 +304,9 @@ class GalleryState:
         return GalleryState(self.tn[lo:hi], self.norms[lo:hi])
 
     def unit_rows(self, picked, out: Array | None = None) -> Array:
-        """Unit rows of ``picked`` (a slice or row indices) into ``out``.
-
-        Float64 (the default) unit rows are float64(row) / norm, bit for bit
-        those of ``normalize_rows``; float32 ones divide by the norms rounded
-        to float32, which is three times as fast for float32 rows.
-        """
-        norms = self.norms[picked, None]
-        if out is not None and out.dtype == np.float32:
-            norms = norms.astype(np.float32)
-        return np.divide(self.tn[picked], norms, out=out)
+        """Float64 unit rows of ``picked`` (a slice or row indices) into
+        ``out``: float64(row) / norm, bit for bit those of ``normalize_rows``."""
+        return np.divide(self.tn[picked], self.norms[picked, None], out=out)
 
 
 def encode_queries(r_rows, m_rows, params: HeadParams, flavor: Flavor) -> QueryState:
@@ -397,34 +410,47 @@ def scores_from_state(queries: QueryState, gallery: GalleryState):
     """Scoring phase: the channel sum of ``queries`` against the gallery.
 
     The sum is taken in the channels' dtype, ``SCORE_TILE`` gallery rows
-    at a time, through tile buffers made once per call (unit rows,
-    squares, pair norms, dots). Float32 channels give the screen that
-    ranking reads, within ``screen_margin`` of the float64 scores, and
-    their pair-norm guard fires at 2 * NORM_EPS, so it passes no pair that
-    the float64 guard would fail. A gated tape state is one node: that
-    loop on its channels' values, with a backward hand-written in the
-    order of the channel sum of (x @ t.T) / sqrt(sq @ (t * t).T).
+    at a time, through tile buffers made once per call (squares, pair
+    norms, dots, and rows: float64 unit rows, or float32 copies of float64
+    rows). Float32 channels give the screen that ranking reads, within
+    ``screen_margin`` of the float64 scores for gallery norms within
+    ``SCREEN_NORMS``. The screen reads the rows as stored: an attended
+    cosine does not depend on the norm of t, and an ungated channel scales
+    its columns by float32 1 / ||t||. Its pair-norm guard fires at
+    2 * NORM_EPS times the tile's largest norm, so it passes no pair that
+    the float64 guard would fail. A gated tape state is one node: the
+    float64 loop on its channels' values, with a backward hand-written in
+    the order of the channel sum of
+    (x @ t.T) / sqrt(sq @ (t * t).T).
     """
     channels = queries.channels
     plain = [(value_of(x), None if sq is None else value_of(sq)) for x, sq in channels]
     dtype = plain[0][0].dtype
-    eps = NORM_EPS if dtype == np.float64 else 2 * NORM_EPS
+    raw, gated = dtype == np.float32, plain[0][1] is not None
     q, (g, dim) = plain[0][0].shape[0], gallery.tn.shape
     w = min(g, SCORE_TILE)
-    out, t_sq = np.empty((q, g), dtype), np.empty((w, dim), dtype)
-    flat = np.empty((2, q * w), dtype)
-    unit = np.empty((w, dim), dtype)
+    out, flat = np.empty((q, g), dtype), np.empty((2, q * w), dtype)
+    t_sq = np.empty((w, dim), dtype) if gated else None
+    rows = None if raw and gallery.tn.dtype == dtype else np.empty((w, dim), dtype)
     for lo in range(0, g, SCORE_TILE):
         hi = min(lo + SCORE_TILE, g)
-        t = gallery.unit_rows(slice(lo, hi), unit[:hi - lo])
+        if not raw:
+            t = gallery.unit_rows(slice(lo, hi), rows[:hi - lo])
+        elif rows is None:
+            t = gallery.tn[lo:hi]
+        else:
+            t = rows[:hi - lo]
+            t[...] = gallery.tn[lo:hi]
         o = out[:, lo:hi]
         n, d = flat[:, :q * (hi - lo)].reshape(2, q, hi - lo)   # contiguous, ragged or not
-        if plain[0][1] is None:   # one ungated channel: one gemm, into a contiguous buffer
-            if o.flags.c_contiguous:
-                np.matmul(plain[0][0], t.T, out=o)
-            else:
-                o[...] = np.matmul(plain[0][0], t.T, out=d)
+        if not gated:   # one ungated channel: one gemm, into a contiguous buffer
+            dots = np.matmul(plain[0][0], t.T, out=o if o.flags.c_contiguous else d)
+            if raw:
+                np.multiply(dots, np.divide(1.0, gallery.norms[lo:hi], dtype=dtype), out=o)
+            elif dots is not o:
+                o[...] = dots
             continue
+        eps = 2 * NORM_EPS * float(gallery.norms[lo:hi].max()) if raw else NORM_EPS
         sq_t = np.multiply(t, t, out=t_sq[:hi - lo])
         for k, (x, sq) in enumerate(plain):
             _norms_and_dots(x, sq, t, sq_t, n, d, eps)

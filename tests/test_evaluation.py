@@ -505,6 +505,21 @@ ID_CHARS = 'g"\\\x01\u00e9\u2028'
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_streaming_ranker_matches_sort_oracle(data):
+    check_streaming_ranker_against_sort_oracle(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_streaming_ranker_matches_sort_oracle_over_small_tiles_and_stripes(data):
+    """The same draws through tiles of 8 columns and 4 dump stripes (or k,
+    when larger): several tiles, a ragged last one, and stripe sets with a
+    ragged tail, which production sizes reach only past 64 columns."""
+    with mock.patch.object(head, "SCORE_TILE", 8), \
+            mock.patch.object(evaluation, "TOP_STRIPES", 4):
+        check_streaming_ranker_against_sort_oracle(data)
+
+
+def check_streaming_ranker_against_sort_oracle(data):
     # up to 40 columns, so top-k segments hold several columns and need not
     # divide the gallery
     n_gallery = data.draw(st.integers(1, 40), label="gallery")
@@ -622,6 +637,55 @@ def test_tiles_the_float32_guard_refuses_rank_like_the_oracle_on_exact_scores(fl
         }, sort_keys=True)
 
 
+@pytest.mark.parametrize("flavor", [Flavor.ARTEMIS, Flavor.LATE_FUSION],
+                         ids=["artemis", "late_fusion"])
+def test_tiles_past_the_screens_norm_range_rank_like_the_oracle_on_exact_scores(flavor):
+    """The screen reads gallery rows as stored. Here the first tile's rows
+    have norms just above NORM_EPS, the second's entries near 1e20 (their
+    float32 squares overflow) and the ragged last tile's unit norms; the
+    first two leave ``head.SCREEN_NORMS``. Ranks, subset ranks and dump
+    lines are still the sort oracle's over ``pair_scores``' values."""
+    dim, n_queries, tile = 64, 6, head.SCORE_TILE
+    n_gallery = 2 * tile + 37
+    params = init_params(HeadDims(dim, dim, dim), seed=1)
+    rng = np.random.default_rng(2)
+    targets = unit_rows(rng, n_gallery, dim)
+    targets[:tile] *= 1.5 * NORM_EPS
+    targets[tile:2 * tile] *= 1e20 * np.sqrt(dim)
+    targets = targets.astype(np.float32)
+    norms = head.prepare_gallery(targets, params.dims, flavor).norms
+    assert norms[:tile].max() < 2 * NORM_EPS
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.square(targets[tile:2 * tile])).mean() > 0.5
+    refs, mods = (unit_rows(rng, n_queries, dim).astype(np.float32) for _ in range(2))
+    gallery_ids = [f"t{i:05d}" for i in range(n_gallery)]
+    corpus = Corpus(refs=FeatureBank([f"r{i}" for i in range(n_queries)], refs),
+                    mods=FeatureBank([f"m{i}" for i in range(n_queries)], mods),
+                    targets=FeatureBank(gallery_ids, targets))
+    queries = []
+    for i in range(n_queries):   # a ground truth and subset members in each tile
+        picked = [gallery_ids[c] for c in rng.integers(0, [tile, tile, 37]) + tile * np.arange(3)]
+        queries.append(QuerySpec(f"r{i}", f"m{i}", (picked[i % 3],), tuple(picked)))
+    gallery = head.prepare_gallery(targets, params.dims, flavor)
+    exact = evaluation.block_scores(normalize_rows(refs), normalize_rows(mods), gallery, params,
+                                    flavor).exact(np.repeat(np.arange(n_queries), n_gallery),
+                                                  np.tile(np.arange(n_gallery), n_queries))
+    exact = exact.reshape(n_queries, n_gallery)
+
+    got = rank_queries(queries, corpus, params, flavor, dump_top_k=10)
+
+    expected = [oracle_rank(exact[i], q, gallery_ids) for i, q in enumerate(queries)]
+    assert got.ranks.tolist() == [e.rank for e in expected]
+    assert got.subset_ranks.tolist() == [
+        oracle_rank(exact[i], q, gallery_ids, q.subset_members).rank
+        for i, q in enumerate(queries)]
+    for i, (line, e) in enumerate(zip(got.dump_lines, expected, strict=True)):
+        assert line == json.dumps({
+            "query": i, "ref": f"r{i}", "mod": f"m{i}", "rank": e.rank,
+            "top": [{"id": g, "score": float(exact[i, int(g[1:])])} for g in e.ordering[:10]],
+        }, sort_keys=True)
+
+
 def test_a_zero_pair_norm_in_a_later_pair_group_names_its_query():
     """One block of 45 queries, whose ground truths are scored exactly 40
     rows at a time: query 44's attention, one-hot on dim 1, meets its ground
@@ -641,6 +705,18 @@ def test_a_zero_pair_norm_in_a_later_pair_group_names_its_query():
     with pytest.raises(NearZeroNorm, match=r"^query 44 \(r44, m44\): attention-weighted "
                                            r"candidate has norm 0\.0$"):
         rank_queries(queries, corpus, one_hot_attention_params(dim), Flavor.IS_ONLY)
+
+
+def test_nan_in_the_excluded_column_raises():
+    """The excluded reference's score is an error when NaN, though the
+    column is dropped from the ranking and from the dump."""
+    scores = np.array([[0.5, 0.1, np.nan, 0.2]])
+    ids = ["a", "b", "c", "d"]
+    corpus, patched = fixed_scores(scores, ["c"], ids)
+    query = QuerySpec(ref_id="c", mod_id="m0", ground_truth=("b",), exclude_ref=True)
+    with patched, pytest.raises(NonFiniteGradient, match=r"query 0 \(c, m0\)"):
+        rank_queries([query], corpus, init_params(HeadDims(2, 2, 2), seed=0),
+                     Flavor.IMAGE_ONLY, dump_top_k=2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

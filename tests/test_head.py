@@ -13,6 +13,7 @@ from emis.head import (
     ATTENTION_FLAVORS,
     BLOCK_NAMES,
     SCORE_TILE,
+    SCREEN_NORMS,
     Flavor,
     GalleryState,
     HeadDims,
@@ -438,8 +439,9 @@ def test_pair_scores_past_one_tile_of_columns_keep_the_full_tiles_bits():
 
 
 def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
-    """Scoring holds the (Q, G) result and four tile buffers: unit rows,
-    squares, norms, dots, all in the channels' dtype."""
+    """Scoring holds the (Q, G) result and its tile buffers, all in the
+    channels' dtype: squares, norms and dots, and in float64 unit rows. The
+    float32 screen reads float32 rows as stored, with no unit-row buffer."""
     dims = HeadDims(8, 8, 8)
     params = init_params(dims, seed=3)
     r_rows, m_rows, t_rows = _toy_batch(dims, 64, 8 * SCORE_TILE + 5, seed=3)
@@ -448,13 +450,13 @@ def test_artemis_scoring_peak_memory_is_one_result_plus_tiles():
     for scored in (state, state.astype(np.float32)):
         scores, peak = traced_peak(lambda: scores_from_state(scored, gallery))
         (q, g), size = scores.shape, scores.itemsize
-        tiles = 2 * q * SCORE_TILE * size + 2 * SCORE_TILE * dims.h_i * size
+        rows = (2 if size == 8 else 1) * SCORE_TILE * dims.h_i * size
+        tiles = 2 * q * SCORE_TILE * size + rows
         # Writing a tile into the result's strided columns makes numpy's ufunc
-        # iterator buffer two operands (getbufsize() values each), and in
-        # float32 so does dividing float32 rows by float64 norms into float32
-        # unit rows; the rest is views and other small objects.
-        buffers = (2 if size == 8 else 4) * 8 * np.getbufsize()
-        assert peak <= q * g * size + tiles + buffers + 16 * 1024
+        # iterator buffer two operands (getbufsize() values each); the rest
+        # is views and other small objects.
+        buffers = 2 * size * np.getbufsize()
+        assert peak <= q * g * size + tiles + buffers + 16 * 1024, (size, peak)
 
 
 def whole_gallery_scores(channels, tn):
@@ -501,9 +503,11 @@ def test_float32_screen_is_within_its_margin_on_adversarial_channels(data):
     """|float32 score - float64 score| <= screen_margin(K) for every pair the
     float32 guard passes, and |float64 score - pair_scores| <= screen_margin(K)
     for every pair the float64 guard passes (ranking's float64 tiles, where
-    the float32 guard fires): near-cancelling dots, one-hot attention, and
+    the float32 guard fires): near-cancelling dots, one-hot attention,
     peaked attention whose other weights (and their squares) fall below
-    float32's normal range or to 0 in it."""
+    float32's normal range or to 0 in it, and float32 or float64 gallery
+    rows read as stored, with norms drawn log-uniformly across
+    ``SCREEN_NORMS`` or at either end of it."""
     width = data.draw(st.sampled_from([2, 8, 512]), label="K")
     n_queries, n_rows = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 24))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -533,10 +537,26 @@ def test_float32_screen_is_within_its_margin_on_adversarial_channels(data):
         if x @ x > 0:
             t_rows[::2] -= np.outer(t_rows[::2] @ x / (x @ x), x)
             t_rows[::2] += 1e-9 * rng.standard_normal(t_rows[::2].shape)
+    norms = data.draw(st.sampled_from(["as drawn", "log-uniform", "least", "most"]),
+                      label="norms")
+    if norms != "as drawn":
+        # log2 of each norm, inside SCREEN_NORMS by more than a float32
+        # rounding of the rows moves it
+        least, most = np.log2(SCREEN_NORMS) + [1e-6, -1e-6]
+        if norms == "log-uniform":
+            logs = rng.uniform(least, most, n_rows)
+        else:   # at one end, half the rows one-hot: the whole norm on one entry
+            logs = np.full(n_rows, least if norms == "least" else most)
+            t_rows[1::2] = np.eye(width)[rng.integers(0, width, n_rows // 2)]
+        t_rows *= np.exp2(logs)[:, None] / np.linalg.norm(t_rows, axis=1, keepdims=True)
+    if data.draw(st.booleans(), label="float32 rows"):
+        t_rows = t_rows.astype(np.float32)
     state = QueryState(Flavor.ARTEMIS, n_queries, channels)
     gallery = prepare_gallery(t_rows, HeadDims(width, width, 1), Flavor.ARTEMIS)
+    screens = SCREEN_NORMS[0] <= gallery.norms.min() and gallery.norms.max() <= SCREEN_NORMS[1]
+    assert screens or norms == "as drawn"
     try:
-        screen = scores_from_state(state.astype(np.float32), gallery)
+        screen = scores_from_state(state.astype(np.float32), gallery) if screens else None
     except NearZeroNorm:
         screen = None   # ranking scores this tile in float64 instead
     try:
